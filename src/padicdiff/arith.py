@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InputError
 
@@ -30,6 +30,7 @@ __all__ = [
     "log_abs",
     "digit_sum",
     "factorial_log_abs",
+    "upper_hull",
 ]
 
 Rational = Union[int, Fraction]
@@ -144,15 +145,33 @@ BOTTOM = LogMag(None)
 
 
 def padic_valuation(n: int, p: Union[int, Prime]) -> int:
-    """v_p(n) for a nonzero integer n."""
+    """v_p(n) for a nonzero integer n.
+
+    Recursion coefficients carry valuations in the hundreds, so p is stripped
+    in doubling chunks p, p^2, p^4, ... and the ladder is then walked back
+    down, rather than one factor at a time.
+    """
     if n == 0:
         raise InputError("valuation of 0 is undefined; use log_abs, which returns bottom")
     q = as_prime(p).p
-    n = abs(n)
+    if q == 2:
+        return (n & -n).bit_length() - 1
     v = 0
-    while n % q == 0:
-        v += 1
-        n //= q
+    ladder = []
+    power, step = q, 1
+    while True:
+        quo, rem = divmod(n, power)
+        if rem:
+            break
+        n = quo
+        v += step
+        ladder.append((power, step))
+        power, step = power * power, step * 2
+    for power, step in reversed(ladder):
+        quo, rem = divmod(n, power)
+        if not rem:
+            n = quo
+            v += step
     return v
 
 
@@ -185,6 +204,26 @@ def factorial_log_abs(n: int, p: Union[int, Prime]) -> Fraction:
     """log_p |n!|_p, computed exactly as -(n - digit_sum_p(n))/(p - 1)."""
     q = as_prime(p).p
     return Fraction(-(n - digit_sum(n, q)), q - 1)
+
+
+def upper_hull(points: Iterable[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:
+    """Vertices of the upper convex hull (least concave majorant) of points
+    given in strictly increasing x order; collinear middle points are dropped.
+
+    Only these vertices can attain max(y + x*rho) at any rho, which is how
+    Gauss norms and Newton polygons use it.  Cross products stay in the
+    coordinates' own type, so integer points never leave the integers.
+    """
+    hull: list[tuple[Rational, Rational]] = []
+    for pt in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) <= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return hull
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ polynomial multiplication.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -31,6 +32,7 @@ from .arith import (
     as_prime,
     factorial_log_abs,
     padic_valuation,
+    upper_hull,
 )
 from .errors import BudgetExceededError, DomainError, InputError, InvalidGaugeError
 from .laurent import (
@@ -333,13 +335,17 @@ class RecursionState:
 
         S_{n+1} = d*(Q*S_n' - n*S_n*Q') + S_n*(d*Q*G)
 
-    stays in Z[x, 1/x].  Norm queries never rebuild coefficients: per-index
-    profiles (exponent -> minimal valuation across entries) are cached.
+    stays in Z[x, 1/x].  Norm queries never rebuild coefficients.  For each
+    n the state caches the upper hull of the points (exponent, -v), v the
+    minimal valuation of that exponent's coefficient across the entries of
+    S_n: only hull vertices can attain the Gauss norm max(-v + e*rho), and a
+    hull has a handful of vertices where S_n has hundreds of exponents.
+    Hulls are built on the first norm query that reaches n and evaluated in
+    integers; log_p |n!| comes from a table grown with the recursion.
     """
 
     def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
         self.module = module
-        self.p = module.p.p
         self.budget = budget
         mu = module.rank
 
@@ -352,7 +358,7 @@ class RecursionState:
                     continue
                 g = _poly_gcd(q_dict, den)
                 extra, _ = _poly_divmod(den, g)
-                q_dict = {k: v for k, v in _mul_frac(q_dict, extra).items()}
+                q_dict = (LaurentPoly(q_dict) * LaurentPoly(extra)).coeffs
         content = _content(q_dict)
         if q_dict[_deg(q_dict)] < 0:
             content = -content
@@ -372,7 +378,7 @@ class RecursionState:
                     raise InputError("common denominator does not divide an entry denominator")
                 pe = e.num * LaurentPoly(quo)
                 for v in pe.coeffs.values():
-                    d = d * v.denominator // _gcd_int(d, v.denominator)
+                    d = math.lcm(d, v.denominator)
                 new_row.append(pe)
             p_entries.append(new_row)
         self.d = d
@@ -385,8 +391,9 @@ class RecursionState:
         )
         self._S: list[tuple[tuple[dict[int, int], ...], ...]] = [ident]
         self._coeff_count = mu
-        self._profiles: list[Optional[list[tuple[int, int]]]] = [None]
-        self._vp_d = padic_valuation(d, self.p) if d != 1 else 0
+        self._hulls: list[Optional[list[tuple[int, int]]]] = [None]
+        self._factorial_logs = [Fraction(0)]
+        self._vp_d = padic_valuation(d, module.p)
         self.extend(depth)
 
     @property
@@ -418,7 +425,8 @@ class RecursionState:
                     row.append(acc)
                 new_rows.append(tuple(row))
             self._S.append(tuple(new_rows))
-            self._profiles.append(None)
+            self._hulls.append(None)
+            self._factorial_logs.append(factorial_log_abs(self.depth, self.module.p))
             self._coeff_count += sum(len(c) for row in new_rows for c in row)
             if self._coeff_count > self.budget:
                 raise BudgetExceededError(
@@ -447,32 +455,23 @@ class RecursionState:
 
     # -- norms ----------------------------------------------------------------
 
-    def _profile(self, n: int) -> list[tuple[int, int]]:
-        """(exponent, min valuation over entries) for S_n; [] when S_n = 0."""
-        prof = self._profiles[n]
-        if prof is None:
+    def _hull(self, n: int) -> list[tuple[int, int]]:
+        """Upper hull of (exponent, -min valuation over entries) for S_n;
+        [] when S_n = 0.  Built once per n from the integer coefficients."""
+        hull = self._hulls[n]
+        if hull is None:
             merged: dict[int, int] = {}
-            p = self.p
+            p = self.module.p
             for row in self._S[n]:
                 for c in row:
                     for e, v in c.items():
-                        w = _vp_int(v, p)
+                        w = padic_valuation(v, p)
                         old = merged.get(e)
                         if old is None or w < old:
                             merged[e] = w
-            prof = sorted(merged.items())
-            self._profiles[n] = prof
-        return prof
-
-    def matrix_log_norm(self, n: int, rho: Rational) -> Optional[Fraction]:
-        """log_p ||G_n|| at log-radius rho; None when G_n = 0."""
-        prof = self._profile(n)
-        if not prof:
-            return None
-        rho = Fraction(rho)
-        best = max(-v + e * rho for e, v in prof)
-        q_norm = self.Q_poly.gauss_norm(rho, self.p).log
-        return best + n * (self._vp_d - q_norm)
+            hull = upper_hull(sorted((e, -w) for e, w in merged.items()))
+            self._hulls[n] = hull
+        return hull
 
     def log_norms(
         self,
@@ -482,59 +481,25 @@ class RecursionState:
     ) -> list[Optional[Fraction]]:
         """log_p ||G_n / n!|| (or ||G_n||) for n = 0..depth; None marks zero."""
         depth = self.depth if depth is None else depth
+        if depth < 0:
+            raise InputError("depth must be nonnegative")
         self.extend(depth)
         rho = Fraction(rho)
-        q_norm = self.Q_poly.gauss_norm(rho, self.p).log
+        a, b = rho.numerator, rho.denominator
+        # ||G_n|| = ||S_n|| * |d|^-n / ||Q||^n, and ||S_n|| = max over hull
+        # vertices of (y + e*rho) = max(b*y + a*e) / b
+        shift = self._vp_d - self.Q_poly.gauss_norm(rho, self.module.p).log
         out: list[Optional[Fraction]] = []
         for n in range(depth + 1):
-            prof = self._profile(n)
-            if not prof:
+            hull = self._hull(n)
+            if not hull:
                 out.append(None)
                 continue
-            val = max(-v + e * rho for e, v in prof) + n * (self._vp_d - q_norm)
+            val = Fraction(max(b * y + a * e for e, y in hull), b) + n * shift
             if include_factorial:
-                val -= factorial_log_abs(n, self.p)
+                val -= self._factorial_logs[n]
             out.append(val)
         return out
-
-
-def _mul_frac(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    acc: dict[int, Fraction] = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            e = e1 + e2
-            acc[e] = acc.get(e, Fraction(0)) + v1 * v2
-    return {e: v for e, v in acc.items() if v}
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _vp_int(n: int, p: int) -> int:
-    """Valuation of a nonzero integer; coefficients here can carry valuations
-    in the hundreds, so strip p in doubling chunks rather than one at a time."""
-    if p == 2:
-        return (n & -n).bit_length() - 1
-    v = 0
-    ladder = []
-    power, step = p, 1
-    while True:
-        q, r = divmod(n, power)
-        if r:
-            break
-        n = q
-        v += step
-        ladder.append((power, step))
-        power, step = power * power, step * 2
-    for power, step in reversed(ladder):
-        q, r = divmod(n, power)
-        if not r:
-            n = q
-            v += step
-    return v
 
 
 @dataclass(frozen=True)

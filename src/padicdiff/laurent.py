@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Mapping, Optional, Union
 
-from .arith import BOTTOM, Interval, LogMag, Prime, Rational, as_prime, log_abs
+from .arith import BOTTOM, Interval, LogMag, Prime, Rational, as_prime, log_abs, upper_hull
 from .errors import InputError, ParseError
 
 __all__ = [
@@ -207,13 +207,6 @@ class LaurentPoly:
         if m == 0:
             raise InputError("substitution exponent must be nonzero")
         return LaurentPoly({e * m: v for e, v in self._c.items()})
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by x^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + k: v for e, v in self._c.items()}
-        out._profiles = {}
-        return out
 
     # -- norms -------------------------------------------------------------
 
@@ -519,25 +512,9 @@ def newton_root_logmags(f: LaurentPoly, p: Union[int, Prime]) -> list[tuple[Frac
     """
     if f.is_zero:
         raise InputError("zero polynomial has every root")
-    q = as_prime(p).p
-    pts = sorted((e, -lv) for e, lv in f.norm_profile(q))  # (exponent, valuation)
-    if len(pts) == 1:
-        return []
-    hull: list[tuple[int, Fraction]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep the lower hull: drop the middle point when it lies on or
-            # above the segment joining its neighbours
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    out = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        out.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
-    return out
+    # the lower polygon of (n, v) is the upper hull of (n, log|a_n|) = (n, -v)
+    hull = upper_hull(f.norm_profile(p))
+    return [(Fraction(y1 - y2, x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
 
 
 def pole_free_on(

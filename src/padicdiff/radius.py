@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arith import Interval, Rational
+from .arith import Interval, Rational, upper_hull
 from .diffmod import DiffModule, RecursionState, frobenius_pullback
 from .errors import DomainError, HypothesisViolationError, InputError
 
@@ -204,21 +204,6 @@ class ConvergencePolygon:
         return tuple(seg.hi for seg in self.segments[:-1])
 
 
-def _upper_hull(points: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    """Vertices of the least concave majorant of points with distinct x."""
-    hull: list[tuple[Fraction, Fraction]] = []
-    for pt in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # concave hull: middle point must lie strictly above the chord
-            if (y2 - y1) * (pt[0] - x1) <= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
-
-
 def polygon_estimate(
     module: DiffModule,
     grid: int = 17,
@@ -247,7 +232,7 @@ def polygon_estimate(
     )
     points = [(s.rho, Fraction(s.log_r)) for s in samples]
 
-    hull = _upper_hull(points)
+    hull = upper_hull(points)
     quality = 0.0
     for k in range(len(hull) - 1):
         (x1, y1), (x2, y2) = hull[k], hull[k + 1]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from padicdiff.arith import (
     BOTTOM,
@@ -12,6 +13,7 @@ from padicdiff.arith import (
     factorial_log_abs,
     log_abs,
     padic_valuation,
+    upper_hull,
 )
 from padicdiff.errors import InputError
 
@@ -39,6 +41,60 @@ def test_prime_validation():
 def test_valuation_of_zero_rejected():
     with pytest.raises(InputError):
         padic_valuation(0, 2)
+
+
+def naive_valuation(n, p):
+    n, v = abs(n), 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11, 97]),
+    k=st.integers(0, 300),
+    unit=st.integers(-(10**9), 10**9).filter(bool),
+    as_prime_obj=st.booleans(),
+)
+@example(p=5, k=150, unit=-3, as_prime_obj=True)
+@example(p=2, k=257, unit=-1, as_prime_obj=False)
+def test_padic_valuation_matches_repeated_division(p, k, unit, as_prime_obj):
+    n = unit * p**k
+    assert padic_valuation(n, Prime(p) if as_prime_obj else p) == naive_valuation(n, p)
+
+
+@st.composite
+def int_profiles(draw):
+    """Sorted (x, y) integer points with distinct x: random scatter, plus an
+    optional collinear run; a single point and negative x included."""
+    pts = dict(
+        draw(st.lists(st.tuples(st.integers(-60, 60), st.integers(-500, 500)), min_size=1, max_size=30))
+    )
+    if draw(st.booleans()):
+        x0, y0 = draw(st.integers(-60, 60)), draw(st.integers(-500, 500))
+        slope = draw(st.integers(-20, 20))
+        for i in range(draw(st.integers(1, 12))):
+            pts[x0 + i] = y0 + slope * i
+    return sorted(pts.items())
+
+
+rationals = st.one_of(
+    st.fractions(-20, 20, max_denominator=64),
+    st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+
+
+@given(points=int_profiles(), rho=rationals)
+def test_upper_hull_evaluation_equals_brute_force_max(points, rho):
+    hull = upper_hull(points)
+    assert set(hull) <= set(points)
+    slopes = [F(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+    assert all(s > t for s, t in zip(slopes, slopes[1:]))  # strict vertices only
+    brute = max(y + x * rho for x, y in points)
+    assert max(y + x * rho for x, y in hull) == brute
+    a, b = rho.numerator, rho.denominator
+    assert F(max(b * y + a * x for x, y in hull), b) == brute
 
 
 def test_bottom_absorbs_and_orders():

@@ -122,6 +122,16 @@ def test_norms_csv(tmp_path, config_file, capsys):
     assert len(lines) == 18
 
 
+def test_norms_negative_depth_exit_1(tmp_path, config_file, capsys):
+    out = tmp_path / "norms.csv"
+    code = main(["norms", "--config", config_file, "--rho", "0", "--depth=-3",
+                 "--csv", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"]["type"] == "InputError"
+    assert not out.exists()
+
+
 def test_polygon_svg(tmp_path, capsys):
     svg = tmp_path / "poly.svg"
     code, doc, _ = run_json(

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
-from padicdiff.arith import Interval, Prime
+from padicdiff.arith import Interval, Prime, log_abs
 from padicdiff.diffmod import (
     DiffModule,
     RFMatrix,
@@ -226,6 +228,38 @@ def test_norm_sequence_respects_interval_closure():
 def test_norm_sequence_unnormalized_flag():
     seq = norm_sequence(scalar_module("1"), 0, 8, include_factorial=False)
     assert all(v == 0 for v in seq.values)
+
+
+@pytest.fixture(scope="module")
+def wide_state():
+    """Rank-2 module with a non-monomial denominator, its state to depth 24,
+    and the stored numerators P(n) with G_n = P(n) / Q^n."""
+    m = DiffModule(Prime(5), RFMatrix.from_strings([["x", "1/(1+2*x^2)"], ["3", "x^-1"]]),
+                   Interval(F(1, 2), 2))
+    state = gn_sequence(m, 24)
+    return state, [state.P(n) for n in range(25)]
+
+
+@given(
+    rho=st.one_of(
+        st.fractions(F(1, 2), 2, max_denominator=40),
+        st.builds(F, st.integers(10**12, 2 * 10**12), st.just(10**12 + 7)),
+    ),
+    include_factorial=st.booleans(),
+)
+def test_log_norms_match_brute_force_gauss_norms(wide_state, rho, include_factorial):
+    state, numerators = wide_state
+    p = state.module.p
+    q_norm = state.Q.gauss_norm(rho, p).log
+    want = []
+    for n, pn in enumerate(numerators):
+        norms = [gauss_norm(c, rho, p).log for row in pn for c in row if not c.is_zero]
+        if not norms:
+            want.append(None)
+            continue
+        val = max(norms) - n * q_norm
+        want.append(val - log_abs(math.factorial(n), p).log if include_factorial else val)
+    assert state.log_norms(rho, 24, include_factorial) == want
 
 
 # -- ramification pullback -------------------------------------------------------------

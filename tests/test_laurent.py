@@ -2,8 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
-from padicdiff.arith import Interval, LogMag
+from padicdiff.arith import Interval, LogMag, log_abs
 from padicdiff.errors import InputError, ParseError
 from padicdiff.laurent import (
     LaurentPoly,
@@ -129,6 +130,35 @@ def test_newton_root_logmags_examples():
     assert newton_root_logmags(f, 2) == [(F(-2), 1), (F(-1), 1)]
     # monomials have no nonzero roots
     assert newton_root_logmags(LaurentPoly.x(5, 3), 2) == []
+
+
+def lower_polygon_reference(f, p):
+    """Slopes of the lower Newton polygon of (n, v_p(a_n)), the direct way."""
+    pts = sorted((e, -log_abs(v, p).log) for e, v in f.coeffs.items())
+    hull = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return [(F(y2 - y1, x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+
+
+@given(
+    coeffs=st.dictionaries(
+        st.integers(-8, 12),
+        st.fractions(max_denominator=10**6).filter(bool),
+        min_size=1,
+        max_size=12,
+    ),
+    p=st.sampled_from([2, 3, 5, 7]),
+)
+def test_newton_root_logmags_matches_lower_polygon(coeffs, p):
+    f = LaurentPoly(coeffs)
+    assert newton_root_logmags(f, p) == lower_polygon_reference(f, p)
 
 
 def test_newton_root_logmags_planted():
