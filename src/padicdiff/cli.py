@@ -32,16 +32,17 @@ A module comes either from a config file (``--config``) or from the catalog
     rho = 0
     h = 1
     seed = 0
-    threads = 1
 
-Command-line flags override [run] values.  Radii that are exact powers of p
+Command-line flags override [run] values; every [run] value is parsed and
+checked even when a flag overrides it.  Unknown sections and unknown keys
+in [module] or [run] are rejected.  Radii that are exact powers of p
 convert to exact log-radii; anything else is stored as a rational
 approximation of log_p r with 12 significant digits.
 
 Exit codes: 0 success; 1 invalid input; 2 completed but inconclusive or
-numerically unclear; 3 budget exceeded.  Errors are machine-readable JSON
-on stderr.  The environment variable PADICDIFF_THREADS selects the worker
-count for grid evaluation; the --threads flag takes precedence.
+numerically unclear; 3 budget exceeded.  Every invalid input, a malformed
+config file or command line included, exits 1 with one machine-readable
+JSON error on stderr.
 """
 
 from __future__ import annotations
@@ -50,14 +51,11 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import Interval, Prime, as_prime
+from .arith import Interval, as_prime
 from .catalog import catalog_get, catalog_names, catalog_summaries
 from .diagnostics import (
     INCONCLUSIVE,
@@ -66,21 +64,15 @@ from .diagnostics import (
     theorem_check,
 )
 from .diffmod import DiffModule, RFMatrix, frobenius_pullback, norm_sequence
-from .errors import (
-    BudgetExceededError,
-    CyclicSearchError,
-    DomainError,
-    HypothesisViolationError,
-    InputError,
-    PadicDiffError,
-    ParseError,
-)
+from .errors import BudgetExceededError, InputError, PadicDiffError, ParseError
 from .jsonutil import SCHEMA_VERSION, estimate_json, fmt_float, frac_str, frobenius_json, polygon_json
 from .laurent import poly_to_str, rf_to_str
 from .plot import polygon_svg, sequence_svg
 from .radius import (
     EXACT,
+    FLOAT,
     TAIL_MIN,
+    TAIL_SLOPE,
     frobenius_radius_check,
     polygon_estimate,
     radius_estimate,
@@ -89,32 +81,54 @@ from .spectral import cyclic_vector
 
 __all__ = ["main"]
 
-ENV_THREADS = "PADICDIFF_THREADS"
-
-
-@dataclass
-class RunConfig:
-    p: Prime
-    var: str
-    module: DiffModule
-    depth: int = 256
-    grid: int = 17
-    max_denominator: int = 32
-    mode: str = EXACT
-    method: str = TAIL_MIN
-    tolerance: float = 0.02
-    rho: Optional[Fraction] = None
-    h: int = 1
-    seed: int = 0
-    threads: int = 1
-    normalized: bool = True
-
 
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational number: {text!r}") from exc
+
+
+def _positive_int(value) -> int:
+    value = int(value)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
+def _one_of(*allowed: str):
+    def cast(value) -> str:
+        if value not in allowed:
+            raise ValueError(f"must be one of {', '.join(allowed)}")
+        return value
+
+    return cast
+
+
+# Every run parameter: [run] key -> (cast, default).  The command-line flag
+# whose dest is the key overrides the file, and goes through the same cast.
+RUN_KEYS = {
+    "depth": (int, 256),
+    "grid": (int, 17),
+    "max_denominator": (_positive_int, 32),
+    "mode": (_one_of(EXACT, FLOAT), EXACT),
+    "method": (_one_of(TAIL_MIN, TAIL_SLOPE), TAIL_MIN),
+    "tolerance": (float, 0.02),
+    "rho": (_parse_fraction, None),
+    "h": (int, 1),
+    "seed": (int, 0),
+}
+MODULE_KEYS = ("p", "variable", "matrix", "interval", "log_interval")
+
+# the module, ``normalized``, and one attribute per RUN_KEYS entry
+RunConfig = argparse.Namespace
+
+
+def _cast(key: str, cast, value):
+    try:
+        return cast(value)
+    except ValueError as exc:
+        raise InputError(f"{key} = {value!r}: {exc}") from exc
 
 
 def _exact_power_exponent(n: int, p: int) -> Optional[int]:
@@ -172,22 +186,35 @@ def _matrix_from_text(text: str, var: str) -> RFMatrix:
     return RFMatrix.from_strings(rows, var)
 
 
+def _reject_unknown(what: str, names, known) -> None:
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise InputError(f"unknown {what}: {', '.join(unknown)}")
+
+
 def _load_config_module(path: str) -> tuple[DiffModule, dict]:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path, encoding="utf-8")
+        sections = {name: dict(cp[name]) for name in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ParseError(f"config file {path}: {exc}") from exc
     if not read:
         raise InputError(f"config file not found: {path}")
-    if "module" not in cp:
+    _reject_unknown("config section", sections, ("module", "run"))
+    if "module" not in sections:
         raise InputError("config file needs a [module] section")
-    sec = cp["module"]
+    sec = sections["module"]
+    run = sections.get("run", {})
+    _reject_unknown("[module] key", sec, MODULE_KEYS)
+    _reject_unknown("[run] key", run, RUN_KEYS)
     if "p" not in sec or "matrix" not in sec:
         raise InputError("[module] needs p and matrix")
-    p = as_prime(int(sec["p"]))
+    p = as_prime(_cast("p", int, sec["p"]))
     var = sec.get("variable", "x").strip()
     interval = _interval_from_texts(p.p, sec.get("interval"), sec.get("log_interval"))
     matrix = _matrix_from_text(sec["matrix"], var)
     module = DiffModule(p, matrix, interval, var).validate()
-    run = dict(cp["run"]) if "run" in cp else {}
     return module, run
 
 
@@ -214,44 +241,16 @@ def _module_from_args(args) -> tuple[DiffModule, dict]:
 
 
 def _merge_config(args, module: DiffModule, run: dict) -> RunConfig:
-    def pick(flag, key, cast, default):
-        if flag is not None:
-            return cast(flag)
-        if key in run:
-            return cast(run[key])
-        return default
-
-    threads_env = os.environ.get(ENV_THREADS)
-    threads = pick(args.threads, "threads", int, int(threads_env) if threads_env else 1)
-    rho_text = args.rho if args.rho is not None else run.get("rho")
-    cfg = RunConfig(
-        p=module.p,
-        var=module.var,
-        module=module,
-        depth=pick(args.depth, "depth", int, 256),
-        grid=pick(args.grid, "grid", int, 17),
-        max_denominator=pick(args.max_denominator, "max_denominator", int, 32),
-        mode=pick(args.mode, "mode", str, EXACT),
-        method=pick(args.method, "method", str, TAIL_MIN),
-        tolerance=pick(args.tol, "tolerance", float, 0.02),
-        rho=_parse_fraction(rho_text) if rho_text is not None else None,
-        h=pick(args.h, "h", int, 1),
-        seed=pick(args.seed, "seed", int, 0),
-        threads=max(1, threads),
-        normalized=not args.unnormalized,
-    )
-    if cfg.mode not in (EXACT, "float"):
-        raise InputError(f"unknown mode {cfg.mode!r}")
-    return cfg
+    values = {}
+    for key, (cast, default) in RUN_KEYS.items():
+        value = _cast(key, cast, run[key]) if key in run else default
+        flag = getattr(args, key)
+        values[key] = value if flag is None else _cast(key, cast, flag)
+    return RunConfig(module=module, normalized=not args.unnormalized, **values)
 
 
 def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.json, json.dumps(payload, indent=2) + "\n")
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -260,13 +259,6 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _require_rho(cfg: RunConfig) -> Fraction:
@@ -296,25 +288,17 @@ def _cmd_norms(args, cfg: RunConfig) -> int:
 
 
 def _cmd_radius(args, cfg: RunConfig) -> int:
-    state = cfg.module.taylor_state(cfg.depth)
     rhos = [cfg.rho] if cfg.rho is not None else cfg.module.interval.interior_grid(cfg.grid)
-    ests = _parallel_map(
-        lambda r: radius_estimate(
-            cfg.module,
-            r,
-            cfg.depth,
-            method=cfg.method,
-            mode=cfg.mode,
-            state=state,
-            include_factorial=cfg.normalized,
-        ),
-        rhos,
-        cfg.threads,
-    )
+    ests = [
+        radius_estimate(
+            cfg.module, r, cfg.depth, cfg.method, cfg.mode, include_factorial=cfg.normalized
+        )
+        for r in rhos
+    ]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "radius",
-        "p": cfg.p.p,
+        "p": cfg.module.p.p,
         "depth": cfg.depth,
         "mode": cfg.mode,
         "normalized": cfg.normalized,
@@ -335,7 +319,7 @@ def _cmd_polygon(args, cfg: RunConfig) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "polygon",
-        "p": cfg.p.p,
+        "p": cfg.module.p.p,
         "depth": cfg.depth,
         "mode": cfg.mode,
         **polygon_json(poly),
@@ -348,16 +332,15 @@ def _cmd_polygon(args, cfg: RunConfig) -> int:
 
 def _cmd_bounded(args, cfg: RunConfig) -> int:
     rho = _require_rho(cfg)
-    state = cfg.module.taylor_state(cfg.depth)
     if args.log_r is not None:
         log_r = _parse_fraction(args.log_r)
     else:
-        log_r = radius_estimate(cfg.module, rho, cfg.depth, state=state).tail_min
-    report = bounded_report(cfg.module, rho, cfg.depth, log_r, cfg.tolerance, state=state)
+        log_r = radius_estimate(cfg.module, rho, cfg.depth).tail_min
+    report = bounded_report(cfg.module, rho, cfg.depth, log_r, cfg.tolerance)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "bounded",
-        "p": cfg.p.p,
+        "p": cfg.module.p.p,
         **report.to_json_dict(),
     }
     _emit(args, payload)
@@ -378,7 +361,7 @@ def _cmd_theorem(args, cfg: RunConfig) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "theorem",
-        "p": cfg.p.p,
+        "p": cfg.module.p.p,
         "depth": cfg.depth,
         **report.to_json_dict(),
     }
@@ -406,11 +389,11 @@ def _cmd_cyclic(args, cfg: RunConfig) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "cyclic",
-        "p": cfg.p.p,
+        "p": cfg.module.p.p,
         "order": red.operator.order,
-        "q": [rf_to_str(qi, cfg.var) for qi in red.operator.coeffs],
-        "gauge": [[rf_to_str(e, cfg.var) for e in row] for row in red.gauge.rows],
-        "vector": [poly_to_str(c, cfg.var) for c in red.vector],
+        "q": [rf_to_str(qi, cfg.module.var) for qi in red.operator.coeffs],
+        "gauge": [[rf_to_str(e, cfg.module.var) for e in row] for row in red.gauge.rows],
+        "vector": [poly_to_str(c, cfg.module.var) for c in red.vector],
         "valid_intervals": [[frac_str(j.lo), frac_str(j.hi)] for j in red.valid],
         "attempts": red.attempts,
     }
@@ -492,8 +475,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as an InputError (exit 1, JSON on stderr)
+    instead of printing usage and exiting 2."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padicdiff",
         description="exact toolkit for differential modules on p-adic annuli",
     )
@@ -514,12 +505,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-denominator", dest="max_denominator", type=int)
     run.add_argument("--mode", choices=["exact", "float"])
     run.add_argument("--method", choices=["tail-min", "tail-slope"])
-    run.add_argument("--tol", type=float)
+    run.add_argument("--tol", dest="tolerance", type=float)
     run.add_argument("--rho", help="log-radius for norms/bounded/radius")
     run.add_argument("--log-r", dest="log_r", help="log R for bounded")
     run.add_argument("--h", type=int, help="pullback order")
     run.add_argument("--seed", type=int)
-    run.add_argument("--threads", type=int)
     run.add_argument("--unnormalized", action="store_true", help="drop the n! factor")
 
     out = parser.add_argument_group("outputs")
@@ -537,8 +527,8 @@ def _error_payload(exc: Exception) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "catalog":
             return _cmd_catalog(args)
         module, run = _module_from_args(args)
@@ -547,8 +537,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(_error_payload(exc))
         return 3
-    except (InputError, ParseError, DomainError, HypothesisViolationError,
-            CyclicSearchError, PadicDiffError) as exc:
+    except PadicDiffError as exc:
         sys.stderr.write(_error_payload(exc))
         return 1
 

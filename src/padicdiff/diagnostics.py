@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .arith import Rational
-from .diffmod import DiffModule, RecursionState
+from .diffmod import DiffModule
 from .errors import InputError
 from .jsonutil import fmt_float, frac_str, polygon_json
 from .radius import (
@@ -138,7 +138,6 @@ def bounded_report(
     depth: int = 256,
     log_r: Rational = None,
     tol: float = DEFAULT_TOL,
-    state: Optional[RecursionState] = None,
 ) -> BoundednessReport:
     """Classify the boundedness trend of the solution matrix at rho.
 
@@ -153,8 +152,7 @@ def bounded_report(
     if mult > rho:
         raise InputError(f"log_r={log_r} exceeds the cap rho={rho}")
     log_r_value: Union[Fraction, float] = log_r if isinstance(log_r, float) else mult
-    state = state or module.taylor_state(depth)
-    norms = state.log_norms(rho, depth)
+    norms = module.taylor_state(depth).log_norms(rho, depth)
 
     values: list[Optional[Fraction]] = []
     for n, v in enumerate(norms):
@@ -223,9 +221,8 @@ def theorem_check(
     polygon, and the verdict is verified iff every classification is
     bounded-decaying or bounded-plateau.
     """
-    state = module.taylor_state(depth)
     polygon = polygon_estimate(
-        module, grid=grid, depth=depth, max_denominator=max_denominator, mode=mode, state=state
+        module, grid=grid, depth=depth, max_denominator=max_denominator, mode=mode
     )
     single = one_slope(polygon)
     robba = is_non_robba(polygon)
@@ -240,7 +237,7 @@ def theorem_check(
     reports = []
     for rho in module.interval.interior_grid(grid):
         log_r = polygon.value(rho)
-        reports.append(bounded_report(module, rho, depth, log_r, tol, state=state))
+        reports.append(bounded_report(module, rho, depth, log_r, tol))
     ok = all(r.classification in (BOUNDED_DECAYING, BOUNDED_PLATEAU) for r in reports)
     return TheoremReport(
         polygon=polygon,

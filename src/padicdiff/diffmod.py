@@ -272,10 +272,12 @@ class DiffModule:
         return self
 
     def taylor_state(self, depth: int, budget: int = DEFAULT_COEFF_BUDGET) -> "RecursionState":
-        """Shared recursion state, grown on demand and cached on the module."""
+        """The module's one recursion state, cached and grown on demand under
+        this call's coefficient budget."""
         if self._state is None:
             self._state = RecursionState(self, depth, budget)
         else:
+            self._state.budget = budget
             self._state.extend(depth)
         return self._state
 
@@ -341,11 +343,14 @@ class RecursionState:
     S_n: only hull vertices can attain the Gauss norm max(-v + e*rho), and a
     hull has a handful of vertices where S_n has hundreds of exponents.
     Hulls are built on the first norm query that reaches n and evaluated in
-    integers; log_p |n!| comes from a table grown with the recursion.
+    integers; log_p |n!| comes from a table grown with the recursion.  The
+    state keeps the module's prime and rank, not the module, so a module
+    that caches its state is freed by reference counting alone.
     """
 
     def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
-        self.module = module
+        self.p = module.p
+        self.rank = module.rank
         self.budget = budget
         mu = module.rank
 
@@ -363,8 +368,8 @@ class RecursionState:
         if q_dict[_deg(q_dict)] < 0:
             content = -content
         q_dict = {e: v / content for e, v in q_dict.items()}
-        self.Q_poly = LaurentPoly(q_dict)
-        self._q = _int_dict(self.Q_poly)
+        self.Q = LaurentPoly(q_dict)
+        self._q = _int_dict(self.Q)
         self._dq = _ideriv(self._q)
 
         # numerators of Q*G as Laurent polynomials, then clear denominators
@@ -393,7 +398,7 @@ class RecursionState:
         self._coeff_count = mu
         self._hulls: list[Optional[list[tuple[int, int]]]] = [None]
         self._factorial_logs = [Fraction(0)]
-        self._vp_d = padic_valuation(d, module.p)
+        self._vp_d = padic_valuation(d, self.p)
         self.extend(depth)
 
     @property
@@ -401,7 +406,7 @@ class RecursionState:
         return len(self._S) - 1
 
     def extend(self, depth: int) -> None:
-        mu = self.module.rank
+        mu = self.rank
         q, dq, pt, d = self._q, self._dq, self._ptilde, self.d
         trivial_q = q == {0: 1}
         while self.depth < depth:
@@ -426,7 +431,7 @@ class RecursionState:
                 new_rows.append(tuple(row))
             self._S.append(tuple(new_rows))
             self._hulls.append(None)
-            self._factorial_logs.append(factorial_log_abs(self.depth, self.module.p))
+            self._factorial_logs.append(factorial_log_abs(self.depth, self.p))
             self._coeff_count += sum(len(c) for row in new_rows for c in row)
             if self._coeff_count > self.budget:
                 raise BudgetExceededError(
@@ -435,10 +440,6 @@ class RecursionState:
                 )
 
     # -- exact views ---------------------------------------------------------
-
-    @property
-    def Q(self) -> LaurentPoly:
-        return self.Q_poly
 
     def P(self, n: int) -> list[list[LaurentPoly]]:
         """Numerator matrix with G_n = P(n) / Q^n, exact rational coefficients."""
@@ -450,7 +451,7 @@ class RecursionState:
 
     def term_matrix(self, n: int) -> RFMatrix:
         """G_n as a matrix of rational functions (unreduced P(n)/Q^n)."""
-        qn = self.Q_poly**n
+        qn = self.Q**n
         return RFMatrix([[RationalFunction(pe, qn) for pe in row] for row in self.P(n)])
 
     # -- norms ----------------------------------------------------------------
@@ -461,7 +462,7 @@ class RecursionState:
         hull = self._hulls[n]
         if hull is None:
             merged: dict[int, int] = {}
-            p = self.module.p
+            p = self.p
             for row in self._S[n]:
                 for c in row:
                     for e, v in c.items():
@@ -488,7 +489,7 @@ class RecursionState:
         a, b = rho.numerator, rho.denominator
         # ||G_n|| = ||S_n|| * |d|^-n / ||Q||^n, and ||S_n|| = max over hull
         # vertices of (y + e*rho) = max(b*y + a*e) / b
-        shift = self._vp_d - self.Q_poly.gauss_norm(rho, self.module.p).log
+        shift = self._vp_d - self.Q.gauss_norm(rho, self.p).log
         out: list[Optional[Fraction]] = []
         for n in range(depth + 1):
             hull = self._hull(n)
@@ -550,7 +551,6 @@ def norm_sequence(
     module: DiffModule,
     rho: Rational,
     depth: int = DEFAULT_DEPTH,
-    state: Optional[RecursionState] = None,
     include_factorial: bool = True,
 ) -> NormSequence:
     """Sequence log_p ||G_n / n!|| at rho for n = 0..depth.
@@ -560,8 +560,7 @@ def norm_sequence(
     rho = Fraction(rho)
     if not module.interval.contains(rho, closed=True):
         raise DomainError(f"rho={rho} outside the closed interval {module.interval}")
-    state = state or module.taylor_state(depth)
-    vals = state.log_norms(rho, depth, include_factorial)
+    vals = module.taylor_state(depth).log_norms(rho, depth, include_factorial)
     return NormSequence(rho, tuple(vals), include_factorial)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .arith import Interval, Rational, upper_hull
-from .diffmod import DiffModule, RecursionState, frobenius_pullback
+from .diffmod import DiffModule, frobenius_pullback
 from .errors import DomainError, HypothesisViolationError, InputError
 
 __all__ = [
@@ -96,15 +96,13 @@ def radius_estimate(
     depth: int = 256,
     method: str = TAIL_MIN,
     mode: str = EXACT,
-    state: Optional[RecursionState] = None,
     include_factorial: bool = True,
-    tail_start: Optional[int] = None,
 ) -> RadiusEstimate:
     """Estimate log_p R(module, rho) from the norm-sequence tail.
 
-    The tail window is [tail_start, depth], default [depth/2, depth]: early
-    terms are pre-asymptotic.  ``include_factorial=False`` switches to the
-    un-normalized variant built on ||G_n|| alone.
+    The tail window is [depth/2, depth]: early terms are pre-asymptotic.
+    ``include_factorial=False`` switches to the un-normalized variant built
+    on ||G_n|| alone.
     """
     rho = Fraction(rho)
     if depth < 16:
@@ -117,15 +115,10 @@ def radius_estimate(
         raise InputError(f"unknown method {method!r}")
     if mode == EXACT and method == TAIL_SLOPE:
         raise InputError("exact mode reports tail-min only")
-    if tail_start is None:
-        tail_start = depth // 2
-    if not 0 <= tail_start <= depth:
-        raise InputError("tail window start must lie in [0, depth]")
 
-    state = state or module.taylor_state(depth)
-    values = state.log_norms(rho, depth, include_factorial)
+    values = module.taylor_state(depth).log_norms(rho, depth, include_factorial)
     window = [
-        (n, values[n]) for n in range(tail_start, depth + 1) if values[n] is not None and n > 0
+        (n, values[n]) for n in range(depth // 2, depth + 1) if values[n] is not None and n > 0
     ]
 
     if not window:
@@ -211,7 +204,6 @@ def polygon_estimate(
     max_denominator: int = 32,
     mode: str = EXACT,
     quality_tol: float = 0.05,
-    state: Optional[RecursionState] = None,
 ) -> ConvergencePolygon:
     """Fit the convergence polygon from grid samples of radius_estimate.
 
@@ -226,10 +218,7 @@ def polygon_estimate(
         raise InputError("polygon fitting needs at least 3 grid points")
     interval = module.interval
     rhos = interval.interior_grid(grid)
-    state = state or module.taylor_state(depth)
-    samples = tuple(
-        radius_estimate(module, r, depth, TAIL_MIN, mode, state=state) for r in rhos
-    )
+    samples = tuple(radius_estimate(module, r, depth, TAIL_MIN, mode) for r in rhos)
     points = [(s.rho, Fraction(s.log_r)) for s in samples]
 
     hull = upper_hull(points)
@@ -412,16 +401,14 @@ def frobenius_radius_check(
     """
     p = base_module.p.p
     pulled = frobenius_pullback(base_module, h)
-    state_m = pulled.taylor_state(depth)
-    state_n = base_module.taylor_state(depth)
     threshold_shift = base_module.p.log_pi / p ** (h - 1)
     scale = p**h
 
     points = []
     residuals = []
     for rho in pulled.interval.interior_grid(grid):
-        est_m = radius_estimate(pulled, rho, depth, state=state_m)
-        est_n = radius_estimate(base_module, scale * rho, depth, state=state_n)
+        est_m = radius_estimate(pulled, rho, depth)
+        est_n = radius_estimate(base_module, scale * rho, depth)
         ok = est_m.tail_min > rho + threshold_shift
         residual = abs(float(scale * est_m.tail_min - est_n.tail_min)) if ok else None
         if residual is not None:

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from padicdiff import cli
 from padicdiff.cli import log_radius_of, main
@@ -217,21 +218,6 @@ def test_budget_exit_code(monkeypatch, capsys):
     assert json.loads(captured.err)["error"]["type"] == "BudgetExceededError"
 
 
-def test_threads_flag_matches_sequential(capsys, config_file):
-    code1, doc1, _ = run_json(capsys, ["radius", "--config", config_file])
-    code2, doc2, _ = run_json(capsys, ["radius", "--config", config_file, "--threads", "4"])
-    assert (code1, code2) == (0, 0)
-    assert doc1 == doc2
-
-
-def test_threads_env_var(monkeypatch, capsys, config_file):
-    code1, doc1, _ = run_json(capsys, ["radius", "--config", config_file])
-    monkeypatch.setenv("PADICDIFF_THREADS", "3")
-    code2, doc2, _ = run_json(capsys, ["radius", "--config", config_file])
-    assert (code1, code2) == (0, 0)
-    assert doc1 == doc2
-
-
 def test_exact_mode_forbids_tail_slope(capsys, config_file):
     code = main(["radius", "--config", config_file, "--mode", "exact",
                  "--method", "tail-slope"])
@@ -258,3 +244,115 @@ def test_pole_on_annulus_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "pole" in json.loads(captured.err)["error"]["message"]
+
+
+# -- error contract: every invalid input is one JSON error and exit 1 ----------
+
+MODULE = "[module]\np = 2\nmatrix =\n    0, 1\n    1/x, 0\ninterval = 1/2, 2\n"
+
+
+def assert_one_json_error(err, error_type=None):
+    assert err.count("\n") == 1, err
+    doc = json.loads(err)
+    assert set(doc) == {"error"} and doc["error"]["type"]
+    if error_type is not None:
+        assert doc["error"]["type"] == error_type
+    return doc["error"]
+
+
+def case(config, argv, error_type, named, id):
+    return pytest.param(config, argv, error_type, named, id=id)
+
+
+@pytest.mark.parametrize(
+    "config, argv, error_type, named",
+    [
+        case(MODULE + "[run]\ndepth = abc\n", ["radius"], "InputError", "abc", "run-not-int"),
+        case(MODULE + "[run]\ndepth = abc\n", ["radius", "--depth", "32"], "InputError", "abc",
+             "run-checked-under-flag"),
+        case(MODULE + "[run]\nmode = fast\n", ["radius", "--mode", "exact"], "InputError",
+             "fast", "run-mode-unknown"),
+        case(MODULE + "[run]\ndpeth = 20\n", ["radius"], "InputError", "dpeth", "run-dpeth"),
+        case(MODULE + "[run]\nthreads = 1\n", ["radius"], "InputError", "threads",
+             "run-threads-removed"),
+        case(MODULE + "varaible = x\n", ["radius"], "InputError", "varaible", "module-varaible"),
+        case(MODULE + "[rnu]\ndepth = 20\n", ["radius"], "InputError", "rnu", "section-rnu"),
+        case(MODULE.replace("p = 2", "p = two"), ["radius"], "InputError", "two",
+             "module-p-not-int"),
+        case(MODULE, ["polygon", "--max-denominator", "0"], "InputError", "max_denominator",
+             "max-denominator-0"),
+        case(MODULE + "[run]\nrho = 50%\n", ["radius"], "ParseError", "%", "percent-in-run"),
+        case(MODULE.replace("1/2, 2", "1/2, 2%"), ["radius"], "ParseError", "%",
+             "percent-in-module"),
+        case(MODULE + "[run]\ndepth = 16\ndepth = 32\n", ["radius"], "ParseError", "depth",
+             "duplicate-key"),
+        case("depth = 16\n" + MODULE, ["radius"], "ParseError", "section", "no-section-header"),
+        case(MODULE.encode() + b"variable = \xff\n", ["radius"], "ParseError", "utf-8",
+             "not-utf-8"),
+        case(MODULE, ["radius", "--depth", "abc"], "InputError", "abc", "flag-not-int"),
+        case(MODULE, ["radius", "--no-such-flag"], "InputError", "--no-such-flag",
+             "unknown-flag"),
+        case(MODULE, ["radius", "--threads", "2"], "InputError", "--threads",
+             "threads-flag-removed"),
+        case(MODULE, ["nonsense"], "InputError", "nonsense", "unknown-command"),
+        case(MODULE, [], "InputError", "command", "no-command"),
+    ],
+)
+def test_invalid_input_is_one_json_error(tmp_path, capsys, config, argv, error_type, named):
+    path = tmp_path / "module.ini"
+    path.write_bytes(config if isinstance(config, bytes) else config.encode())
+    code = main([*argv[:1], "--config", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert named in assert_one_json_error(captured.err, error_type)["message"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+_KEYS = st.one_of(
+    st.sampled_from(
+        ["depth", "grid", "max_denominator", "mode", "method", "tolerance", "rho", "h", "seed",
+         "threads", "dpeth", "Depth", "MODE"]
+    ),
+    st.text("abcdefghijklmnopqrstuvwxyz_-0123456789", min_size=1, max_size=10),
+    st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=10),
+)
+_VALUES = st.one_of(
+    st.sampled_from(["exact", "float", "tail-min", "tail-slope", "1/2", "-1/3", "1e3", "nan", ""]),
+    st.integers(-40, 40).map(str),
+    st.fractions(-2, 2, max_denominator=9).map(str),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12),
+)
+# known-good entries mixed in, so that about one example in five runs a command
+# to the end instead of stopping at the first bad key or value
+_ENTRIES = st.one_of(
+    st.sampled_from(
+        [("mode", "float"), ("method", "tail-slope"), ("tolerance", "0.1"), ("rho", "1/2"),
+         ("seed", "3"), ("h", "2"), ("max_denominator", "8"), ("depth", "64"), ("grid", "5")]
+    ),
+    st.tuples(_KEYS, _VALUES),
+)
+
+
+@settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    command=st.sampled_from(["radius", "polygon", "theorem", "bounded", "cyclic"]),
+    entries=st.lists(_ENTRIES, max_size=4, unique_by=lambda e: e[0].lower()),
+)
+def test_fuzz_run_section_fails_closed(tmp_path, capsys, command, entries):
+    path = tmp_path / "module.ini"
+    run = "".join(f"{key} = {value}\n" for key, value in entries)
+    path.write_text(MODULE + "[run]\n" + run, encoding="utf-8")
+    code = main([command, "--config", str(path), "--depth", "32", "--grid", "3"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    if code in (1, 3):
+        assert_one_json_error(err)

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -187,6 +189,27 @@ def test_budget_guard():
         gn_sequence(m, 2000, budget=500)
 
 
+def test_cached_state_honours_the_budget_of_each_call():
+    m = scalar_module("3")  # one stored coefficient per step
+    gn_sequence(m, 4)
+    with pytest.raises(BudgetExceededError):
+        gn_sequence(m, 2000, budget=500)
+
+
+def test_dropped_module_frees_its_state_without_gc():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = DiffModule(P2, RFMatrix([[P("1/(1+x)"), P("2")], [P("0"), P("x")]]), I01)
+        state = weakref.ref(gn_sequence(m, 8))
+        assert state() is not None
+        del m
+        assert state() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # -- norm sequences ------------------------------------------------------------------
 
 
@@ -249,7 +272,7 @@ def wide_state():
 )
 def test_log_norms_match_brute_force_gauss_norms(wide_state, rho, include_factorial):
     state, numerators = wide_state
-    p = state.module.p
+    p = state.p
     q_norm = state.Q.gauss_norm(rho, p).log
     want = []
     for n, pn in enumerate(numerators):
