@@ -36,18 +36,31 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 
+# Miller-Rabin with the first 12 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -62,6 +75,8 @@ class Prime:
     p: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.p, int) and self.p >= _PRIME_LIMIT:
+            raise InputError(f"p must be below {_PRIME_LIMIT}")
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise InputError(f"not a prime: {self.p!r}")
 

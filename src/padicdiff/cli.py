@@ -51,11 +51,12 @@ import argparse
 import configparser
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import Interval, as_prime
+from .arith import Interval, as_prime, log_abs
 from .catalog import catalog_get, catalog_names, catalog_summaries
 from .diagnostics import (
     INCONCLUSIVE,
@@ -82,9 +83,23 @@ from .spectral import cyclic_vector
 __all__ = ["main"]
 
 
+# Python's default limit on the digits of an int <-> str conversion
+_MAX_DIGITS = 4300
+
+
 def _parse_fraction(text: str) -> Fraction:
+    # Fraction expands a decimal exponent in full, and a number past the digit
+    # limit cannot be printed in a report or an error message: bound the digits
+    # of the value (every digit run plus the exponent) before building it
+    text = text.strip()
+    size = sum(len(run) for run in re.findall(r"\d+", text))
+    exponent = re.search(r"e([-+]?\d+)$", text, re.IGNORECASE)
+    if exponent and size <= _MAX_DIGITS:
+        size += abs(int(exponent.group(1)))
+    if size > _MAX_DIGITS:
+        raise InputError(f"number with more than {_MAX_DIGITS} digits: {text[:32]!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational number: {text!r}") from exc
 
@@ -93,6 +108,13 @@ def _positive_int(value) -> int:
     value = int(value)
     if value < 1:
         raise ValueError("must be at least 1")
+    return value
+
+
+def _tolerance(value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError("must be a finite number at least 0")
     return value
 
 
@@ -113,7 +135,7 @@ RUN_KEYS = {
     "max_denominator": (_positive_int, 32),
     "mode": (_one_of(EXACT, FLOAT), EXACT),
     "method": (_one_of(TAIL_MIN, TAIL_SLOPE), TAIL_MIN),
-    "tolerance": (float, 0.02),
+    "tolerance": (_tolerance, 0.02),
     "rho": (_parse_fraction, None),
     "h": (int, 1),
     "seed": (int, 0),
@@ -131,24 +153,13 @@ def _cast(key: str, cast, value):
         raise InputError(f"{key} = {value!r}: {exc}") from exc
 
 
-def _exact_power_exponent(n: int, p: int) -> Optional[int]:
-    if n < 1:
-        return None
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k if n == 1 else None
-
-
 def log_radius_of(r: Fraction, p: int) -> Fraction:
     """log_p r: exact for powers of p, else 12 significant digits."""
     if r <= 0:
         raise InputError(f"radius must be positive, got {r}")
-    kn = _exact_power_exponent(r.numerator, p)
-    kd = _exact_power_exponent(r.denominator, p)
-    if kn is not None and kd is not None:
-        return Fraction(kn - kd)
+    k = -log_abs(r, p).log  # r = p^k * u/v with u, v prime to p
+    if r == Fraction(p) ** k:
+        return k
     x = math.log(r.numerator) - math.log(r.denominator)
     x /= math.log(p)
     if x == 0:

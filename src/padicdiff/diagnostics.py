@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 from .arith import Rational
 from .diffmod import DiffModule
-from .errors import InputError
+from .errors import DomainError, InputError
 from .jsonutil import fmt_float, frac_str, polygon_json
 from .radius import (
     EXACT,
@@ -141,11 +141,14 @@ def bounded_report(
 ) -> BoundednessReport:
     """Classify the boundedness trend of the solution matrix at rho.
 
-    ``log_r`` must not exceed rho (the radius cap).  The tail window is
-    [depth/2, depth]; None entries (zero matrices) are skipped by the fit,
-    and a window of Nones is a plateau at the running maximum.
+    rho must lie in the open module interval and ``log_r`` must not exceed
+    rho (the radius cap).  The tail window is [depth/2, depth]; None entries
+    (zero matrices) are skipped by the fit, and a window of Nones is a
+    plateau at the running maximum.
     """
     rho = Fraction(rho)
+    if not module.interval.contains(rho):
+        raise DomainError(f"rho={rho} outside the open interval {module.interval}")
     if log_r is None:
         raise InputError("bounded_report needs an explicit log_r")
     mult = Fraction(log_r)  # exact also for float inputs

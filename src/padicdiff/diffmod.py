@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .arith import (
     Interval,
@@ -39,7 +39,8 @@ from .laurent import (
     LaurentPoly,
     RationalFunction,
     _content,
-    _deg,
+    _deriv,
+    _mul_acc,
     _poly_divmod,
     _poly_gcd,
     pole_free_on,
@@ -82,11 +83,6 @@ class RFMatrix:
     def identity(n: int) -> "RFMatrix":
         one, zero = RationalFunction.one(), RationalFunction.zero()
         return RFMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(n: int, m: Optional[int] = None) -> "RFMatrix":
-        zero = RationalFunction.zero()
-        return RFMatrix([[zero] * (m or n) for _ in range(n)])
 
     @staticmethod
     def diagonal(entries: Sequence[RationalFunction]) -> "RFMatrix":
@@ -175,11 +171,8 @@ class RFMatrix:
     def derivative(self) -> "RFMatrix":
         return RFMatrix([[a.derivative() for a in row] for row in self.rows])
 
-    def map_entries(self, fn: Callable[[RationalFunction], RationalFunction]) -> "RFMatrix":
-        return RFMatrix([[fn(a) for a in row] for row in self.rows])
-
     def reduced(self) -> "RFMatrix":
-        return self.map_entries(lambda e: e.reduce())
+        return RFMatrix([[a.reduce() for a in row] for row in self.rows])
 
     def det(self) -> RationalFunction:
         """Determinant by cofactor expansion (ranks here stay tiny)."""
@@ -282,43 +275,6 @@ class DiffModule:
         return self._state
 
 
-# ---------------------------------------------------------------------------
-# integer Laurent helpers for the recursion engine
-# ---------------------------------------------------------------------------
-
-
-def _imul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    acc: dict[int, int] = {}
-    get = acc.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
-    return {e: v for e, v in acc.items() if v}
-
-
-def _iadd_scaled(a: dict[int, int], b: dict[int, int], k: int) -> dict[int, int]:
-    """a + k*b."""
-    if not k:
-        return dict(a)
-    out = dict(a)
-    for e, v in b.items():
-        w = out.get(e, 0) + k * v
-        if w:
-            out[e] = w
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _ideriv(a: dict[int, int]) -> dict[int, int]:
-    return {e - 1: e * v for e, v in a.items() if e}
-
-
-def _iscale(a: dict[int, int], k: int) -> dict[int, int]:
-    return {e: k * v for e, v in a.items()} if k else {}
-
-
 def _int_dict(f: LaurentPoly) -> dict[int, int]:
     out = {}
     for e, v in f.coeffs.items():
@@ -337,15 +293,19 @@ class RecursionState:
 
         S_{n+1} = d*(Q*S_n' - n*S_n*Q') + S_n*(d*Q*G)
 
-    stays in Z[x, 1/x].  Norm queries never rebuild coefficients.  For each
-    n the state caches the upper hull of the points (exponent, -v), v the
-    minimal valuation of that exponent's coefficient across the entries of
-    S_n: only hull vertices can attain the Gauss norm max(-v + e*rho), and a
-    hull has a handful of vertices where S_n has hundreds of exponents.
-    Hulls are built on the first norm query that reaches n and evaluated in
-    integers; log_p |n!| comes from a table grown with the recursion.  The
-    state keeps the module's prime and rank, not the module, so a module
-    that caches its state is freed by reference counting alone.
+    stays in Z[x, 1/x].  Each entry of S_{n+1} is built in one accumulator
+    by the package's one polynomial product, ``laurent._mul_acc``, with the
+    short factors Q and Q' in its outer loop, so Q = 1 costs nothing extra.
+
+    Norm queries never rebuild coefficients.  For each n the state caches
+    the upper hull of the points (exponent, -v), v the minimal valuation of
+    that exponent's coefficient across the entries of S_n: only hull
+    vertices can attain the Gauss norm max(-v + e*rho), and a hull has a
+    handful of vertices where S_n has hundreds of exponents.  Hulls are
+    built on the first norm query that reaches n and evaluated in integers;
+    log_p |n!| comes from a table grown with the recursion.  The state keeps
+    the module's prime and rank, not the module, so a module that caches
+    its state is freed by reference counting alone.
     """
 
     def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
@@ -355,45 +315,39 @@ class RecursionState:
         mu = module.rank
 
         reduced = [[e.reduce() for e in row] for row in module.matrix.rows]
+        # reduced denominators have positive leading coefficients, so Q does
         q_dict: dict[int, Fraction] = {0: Fraction(1)}
         for row in reduced:
             for e in row:
-                den = {k: v for k, v in e.den.coeffs.items()}
+                den = e.den.coeffs
                 if den == {0: Fraction(1)}:
                     continue
                 g = _poly_gcd(q_dict, den)
                 extra, _ = _poly_divmod(den, g)
                 q_dict = (LaurentPoly(q_dict) * LaurentPoly(extra)).coeffs
         content = _content(q_dict)
-        if q_dict[_deg(q_dict)] < 0:
-            content = -content
         q_dict = {e: v / content for e, v in q_dict.items()}
         self.Q = LaurentPoly(q_dict)
         self._q = _int_dict(self.Q)
-        self._dq = _ideriv(self._q)
+        self._dq = _deriv(self._q)
 
         # numerators of Q*G as Laurent polynomials, then clear denominators
         p_entries: list[list[LaurentPoly]] = []
-        d = 1
         for row in reduced:
             new_row = []
             for e in row:
                 quo, rem = _poly_divmod(q_dict, e.den.coeffs)
                 if rem:
                     raise InputError("common denominator does not divide an entry denominator")
-                pe = e.num * LaurentPoly(quo)
-                for v in pe.coeffs.values():
-                    d = math.lcm(d, v.denominator)
-                new_row.append(pe)
+                new_row.append(e.num * LaurentPoly(quo))
             p_entries.append(new_row)
+        d = math.lcm(
+            *(v.denominator for row in p_entries for pe in row for v in pe.coeffs.values())
+        )
         self.d = d
-        self._ptilde = tuple(
-            tuple(_int_dict(pe * d) for pe in row) for row in p_entries
-        )
+        self._ptilde = tuple(tuple(_int_dict(pe * d) for pe in row) for row in p_entries)
 
-        ident = tuple(
-            tuple({0: 1} if i == j else {} for j in range(mu)) for i in range(mu)
-        )
+        ident = tuple(tuple({0: 1} if i == j else {} for j in range(mu)) for i in range(mu))
         self._S: list[tuple[tuple[dict[int, int], ...], ...]] = [ident]
         self._coeff_count = mu
         self._hulls: list[Optional[list[tuple[int, int]]]] = [None]
@@ -408,7 +362,6 @@ class RecursionState:
     def extend(self, depth: int) -> None:
         mu = self.rank
         q, dq, pt, d = self._q, self._dq, self._ptilde, self.d
-        trivial_q = q == {0: 1}
         while self.depth < depth:
             n = self.depth
             S = self._S[-1]
@@ -416,18 +369,13 @@ class RecursionState:
             for i in range(mu):
                 row = []
                 for j in range(mu):
-                    acc = _imul(S[i][0], pt[0][j]) if mu else {}
-                    for t in range(1, mu):
-                        acc = _iadd_scaled(acc, _imul(S[i][t], pt[t][j]), 1)
-                    if trivial_q:
-                        term = _ideriv(S[i][j])
-                        acc = _iadd_scaled(acc, term, d)
-                    else:
-                        term = _imul(q, _ideriv(S[i][j]))
-                        if n:
-                            term = _iadd_scaled(term, _imul(S[i][j], dq), -n)
-                        acc = _iadd_scaled(acc, term, d)
-                    row.append(acc)
+                    # sum_t S[i][t]*pt[t][j] + d*Q*S[i][j]' - n*d*Q'*S[i][j]
+                    acc: dict[int, int] = {}
+                    for t in range(mu):
+                        _mul_acc(acc, pt[t][j], S[i][t])
+                    _mul_acc(acc, q, _deriv(S[i][j]), d)
+                    _mul_acc(acc, dq, S[i][j], -n * d)
+                    row.append({e: v for e, v in acc.items() if v})
                 new_rows.append(tuple(row))
             self._S.append(tuple(new_rows))
             self._hulls.append(None)

@@ -17,9 +17,9 @@ parentheses, e.g. ``(1 - x^2)/(4*x)``.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from math import gcd as int_gcd
 from typing import Mapping, Optional, Union
 
 from .arith import BOTTOM, Interval, LogMag, Prime, Rational, as_prime, log_abs, upper_hull
@@ -102,12 +102,6 @@ class LaurentPoly:
             raise InputError("zero polynomial has no support")
         return min(self._c)
 
-    @property
-    def max_exp(self) -> int:
-        if not self._c:
-            raise InputError("zero polynomial has no support")
-        return max(self._c)
-
     def __len__(self) -> int:
         return len(self._c)
 
@@ -162,19 +156,12 @@ class LaurentPoly:
             return NotImplemented
         # convolve over Z after clearing denominators: one Fraction build per
         # output coefficient instead of one per term product
-        d1 = d2 = 1
-        for v in self._c.values():
-            d1 = d1 * v.denominator // int_gcd(d1, v.denominator)
-        for v in other._c.values():
-            d2 = d2 * v.denominator // int_gcd(d2, v.denominator)
+        d1 = math.lcm(*(v.denominator for v in self._c.values()))
+        d2 = math.lcm(*(v.denominator for v in other._c.values()))
         a = {e: v.numerator * (d1 // v.denominator) for e, v in self._c.items()}
         b = {e: v.numerator * (d2 // v.denominator) for e, v in other._c.items()}
         acc: dict[int, int] = {}
-        get = acc.get
-        for e1, v1 in a.items():
-            for e2, v2 in b.items():
-                e = e1 + e2
-                acc[e] = get(e, 0) + v1 * v2
+        _mul_acc(acc, a, b)
         scale = Fraction(1, d1 * d2)
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = {e: v * scale for e, v in acc.items() if v}
@@ -200,7 +187,7 @@ class LaurentPoly:
 
     def derivative(self) -> "LaurentPoly":
         """Termwise d/dx: a_n x^n -> n a_n x^(n-1)."""
-        return LaurentPoly({e - 1: e * v for e, v in self._c.items() if e})
+        return LaurentPoly(_deriv(self._c))
 
     def substitute_power(self, m: int) -> "LaurentPoly":
         """x -> x^m for a nonzero integer m."""
@@ -227,6 +214,30 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
+# the one polynomial product, over {exponent: coefficient} maps
+# ---------------------------------------------------------------------------
+
+
+def _mul_acc(acc: dict, a: Mapping[int, Rational], b: Mapping[int, Rational], k: int = 1) -> None:
+    """acc += k*a*b in place, over {exponent: coefficient} maps.
+
+    The recursion passes integers, the rational helpers below Fractions.
+    May leave zero coefficients in acc; callers filter once when the sum is
+    complete.  The outer loop runs over a: pass the shorter factor first."""
+    get = acc.get
+    for e1, v1 in a.items():
+        v1 *= k
+        for e2, v2 in b.items():
+            e = e1 + e2
+            acc[e] = get(e, 0) + v1 * v2
+
+
+def _deriv(c: Mapping[int, Rational]) -> dict:
+    """Termwise d/dx of a coefficient map: a_n x^n -> n a_n x^(n-1)."""
+    return {e - 1: e * v for e, v in c.items() if e}
+
+
+# ---------------------------------------------------------------------------
 # ordinary-polynomial helpers (min exponent 0), used for reduction and gcd
 # ---------------------------------------------------------------------------
 
@@ -246,25 +257,16 @@ def _poly_divmod(a: dict[int, Fraction], b: dict[int, Fraction]):
         dr = _deg(rem)
         f = rem[dr] / lb
         quo[dr - db] = f
-        for e, v in b.items():
-            ee = e + dr - db
-            w = rem.get(ee, Fraction(0)) - f * v
-            if w:
-                rem[ee] = w
-            elif ee in rem:
-                del rem[ee]
+        _mul_acc(rem, {dr - db: -f}, b)
+        rem = {e: v for e, v in rem.items() if v}
     return quo, rem
 
 
 def _prim_int(c: dict[int, Fraction]) -> dict[int, int]:
     """Scale a nonzero rational polynomial to primitive integer coefficients."""
-    den = 1
-    for v in c.values():
-        den = den * v.denominator // int_gcd(den, v.denominator)
+    den = math.lcm(*(v.denominator for v in c.values()))
     ints = {e: v.numerator * (den // v.denominator) for e, v in c.items()}
-    g = 0
-    for v in ints.values():
-        g = int_gcd(g, v)
+    g = math.gcd(*ints.values())
     return {e: v // g for e, v in ints.items()}
 
 
@@ -275,15 +277,9 @@ def _int_prem(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     while rem and _deg(rem) >= db:
         dr = _deg(rem)
         lr = rem[dr]
-        nxt = {e: v * lb for e, v in rem.items()}
-        for e, v in b.items():
-            ee = e + dr - db
-            w = nxt.get(ee, 0) - lr * v
-            if w:
-                nxt[ee] = w
-            elif ee in nxt:
-                del nxt[ee]
-        rem = nxt
+        rem = {e: v * lb for e, v in rem.items()}
+        _mul_acc(rem, {dr - db: -lr}, b)
+        rem = {e: v for e, v in rem.items() if v}
     return rem
 
 
@@ -308,11 +304,8 @@ def _poly_gcd(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fract
 
 def _content(c: dict[int, Fraction]) -> Fraction:
     """Positive rational content: c / content is primitive with integer coeffs."""
-    num = 0
-    den = 1
-    for v in c.values():
-        num = int_gcd(num, abs(v.numerator))
-        den = den * v.denominator // int_gcd(den, v.denominator)
+    num = math.gcd(*(v.numerator for v in c.values()))
+    den = math.lcm(*(v.denominator for v in c.values()))
     return Fraction(num, den)
 
 
@@ -352,10 +345,6 @@ class RationalFunction:
         return RationalFunction(LaurentPoly.constant(value))
 
     @staticmethod
-    def from_poly(f: LaurentPoly) -> "RationalFunction":
-        return RationalFunction(f)
-
-    @staticmethod
     def from_string(text: str, var: str = "x") -> "RationalFunction":
         return parse_rational_function(text, var)
 
@@ -364,11 +353,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        r = self.reduce()
-        return r.den == LaurentPoly.one()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

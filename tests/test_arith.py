@@ -38,6 +38,36 @@ def test_prime_validation():
     Prime(97)
 
 
+def naive_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+@given(n=st.integers(-5, 2 * 10**6))
+@example(n=2047)  # strong pseudoprime to base 2
+@example(n=1373653)  # strong pseudoprime to bases 2 and 3
+@example(n=37)
+@example(n=41)
+def test_prime_matches_trial_division(n):
+    if naive_is_prime(n):
+        assert Prime(n).p == n
+    else:
+        with pytest.raises(InputError):
+            Prime(n)
+
+
+def test_large_primes_are_fast_and_exact():
+    # trial division up to sqrt(p) would take minutes here
+    for p in (1000000000000000003, 318665857834031151167441):
+        assert Prime(p).p == p
+    # 3825123056546413051 is a strong pseudoprime to the bases 2 to 23
+    for n in (3825123056546413051, 1000000000000000003 * 1000003):
+        with pytest.raises(InputError):
+            Prime(n)
+    # a strong pseudoprime to all twelve bases: exactness ends there
+    with pytest.raises(InputError, match="below"):
+        Prime(318665857834031151167461)
+
+
 def test_valuation_of_zero_rejected():
     with pytest.raises(InputError):
         padic_valuation(0, 2)

@@ -294,6 +294,24 @@ def case(config, argv, error_type, named, id):
              "unknown-flag"),
         case(MODULE, ["radius", "--threads", "2"], "InputError", "--threads",
              "threads-flag-removed"),
+        case(MODULE, ["theorem", "--depth", "32", "--grid", "3", "--tol", "nan"], "InputError",
+             "tolerance", "tol-nan"),
+        case(MODULE, ["bounded", "--rho", "0", "--log-r", "0", "--tol", "-1"], "InputError",
+             "tolerance", "tol-negative"),
+        case(MODULE + "[run]\ntolerance = inf\n", ["frobenius", "--depth", "32", "--grid", "3"],
+             "InputError", "tolerance", "run-tolerance-inf"),
+        case(MODULE, ["radius", "--rho", "1e99999"], "InputError", "1e99999",
+             "rho-exponent-past-digit-limit"),
+        case(MODULE, ["radius", "--rho", "1e999999999"], "InputError", "1e999999999",
+             "rho-exponent-huge"),
+        case(MODULE, ["radius", "--rho", "1/" + "3" * 5000], "InputError", "digits",
+             "rho-denominator-past-digit-limit"),
+        case(MODULE.replace("1/2, 2", "1/2, 2e-99999"), ["radius"], "InputError", "2e-99999",
+             "interval-past-digit-limit"),
+        case(MODULE.replace("p = 2", "p = 318665857834031151167461"), ["radius"], "InputError",
+             "318665857834031151167461", "p-past-primality-limit"),
+        case(MODULE, ["bounded", "--rho", "100", "--log-r", "0", "--depth", "20"], "DomainError",
+             "rho=100", "bounded-rho-outside-interval"),
         case(MODULE, ["nonsense"], "InputError", "nonsense", "unknown-command"),
         case(MODULE, [], "InputError", "command", "no-command"),
     ],

@@ -14,7 +14,7 @@ from padicdiff.diagnostics import (
     bounded_report,
     theorem_check,
 )
-from padicdiff.errors import InputError
+from padicdiff.errors import DomainError, InputError
 
 
 def s2(n):
@@ -63,6 +63,13 @@ def test_log_r_cap_enforced():
     m = exp_module(Interval(-1, 1))
     with pytest.raises(InputError):
         bounded_report(m, 0, 64, log_r=F(1, 2))
+
+
+@pytest.mark.parametrize("rho", [F(-1), F(1), F(100)])
+def test_rho_outside_the_open_interval_rejected(rho):
+    m = exp_module(Interval(-1, 1))
+    with pytest.raises(DomainError, match="outside"):
+        bounded_report(m, rho, 20, log_r=F(-3))
 
 
 def test_classification_monotone_in_log_r():

@@ -5,7 +5,7 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from padicdiff.arith import Interval, Prime, log_abs
 from padicdiff.diffmod import (
@@ -168,6 +168,42 @@ def test_gn_matches_direct_recursion():
         for n in range(6):
             assert state.term_matrix(n) == direct
             direct = (direct.derivative() + direct @ G).reduced()
+
+
+laurent_nums = st.dictionaries(
+    st.integers(-2, 3), st.fractions(-9, 9, max_denominator=4).filter(bool), max_size=3
+).map(LaurentPoly)
+# denominators of the Q != 1 side; the monomials of the other side are absorbed
+# into the Laurent numerators, which leaves Q = 1
+den_factors = st.sampled_from(["x", "x^2", "1 + x", "3 - x^2", "2*x + 9", "1 + x + 5*x^2"])
+
+
+@st.composite
+def small_modules(draw):
+    """Rank 1-2 modules; Q = 1 or non-monomial, entry (0, 0) forcing the latter."""
+    mu = draw(st.integers(1, 2))
+    general = draw(st.booleans())
+    pool = den_factors if general else st.sampled_from(["1", "x", "x^3"])
+    rows = [
+        [RationalFunction(draw(laurent_nums), P(draw(pool)).num) for _ in range(mu)]
+        for _ in range(mu)
+    ]
+    if general:
+        const = LaurentPoly.constant(draw(st.integers(1, 9)))
+        rows[0][0] = RationalFunction(const, P("1 + 2*x").num)
+    return DiffModule(Prime(draw(st.sampled_from([2, 3, 5]))), RFMatrix(rows), I01), general
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=small_modules())
+def test_term_matrix_matches_rfmatrix_recursion(case):
+    m, general = case
+    state = gn_sequence(m, 4)
+    assert (state.Q == LaurentPoly.one()) != general
+    direct = RFMatrix.identity(m.rank)
+    for n in range(5):
+        assert state.term_matrix(n) == direct
+        direct = (direct.derivative() + direct @ m.matrix).reduced()
 
 
 def test_gn_invariant_p_over_q():

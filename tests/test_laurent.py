@@ -8,6 +8,7 @@ from padicdiff.arith import Interval, LogMag, log_abs
 from padicdiff.errors import InputError, ParseError
 from padicdiff.laurent import (
     LaurentPoly,
+    _mul_acc,
     RationalFunction,
     gauss_norm,
     interval_max_principle_check,
@@ -39,6 +40,44 @@ def test_poly_arith_examples():
     one_plus_2x = LaurentPoly({0: 1, 1: 2})
     assert one_plus_2x * one_plus_2x == LaurentPoly({0: 1, 1: 4, 2: 4})
     assert (x(1) + x(1, -1)).is_zero
+
+
+coeff_maps = st.dictionaries(
+    st.integers(-8, 8), st.fractions(-50, 50, max_denominator=12).filter(bool), max_size=7
+)
+
+
+def cauchy_product(a, b):
+    """Slow reference: each output coefficient summed over its exponent pairs."""
+    if not a or not b:
+        return {}
+    out = {}
+    for e in range(min(a) + min(b), max(a) + max(b) + 1):
+        v = sum((a[e1] * b.get(e - e1, 0) for e1 in a), F(0))
+        if v:
+            out[e] = v
+    return out
+
+
+@given(a=coeff_maps, b=coeff_maps)
+def test_product_matches_fraction_convolution(a, b):
+    prod = LaurentPoly(a) * LaurentPoly(b)
+    assert prod.coeffs == cauchy_product(a, b)
+    assert all(prod.coeffs.values())
+
+
+@given(
+    acc=st.dictionaries(st.integers(-8, 8), st.integers(-99, 99), max_size=7),
+    a=st.dictionaries(st.integers(-4, 4), st.integers(-99, 99), max_size=4),
+    b=st.dictionaries(st.integers(-8, 8), st.integers(-(10**20), 10**20), max_size=7),
+    k=st.integers(-5, 5),
+)
+def test_mul_acc_adds_the_scaled_product_in_place(acc, a, b, k):
+    want = dict(acc)
+    for e, v in cauchy_product(a, b).items():
+        want[e] = want.get(e, 0) + k * v
+    _mul_acc(acc, a, b, k)
+    assert {e: v for e, v in acc.items() if v} == {e: v for e, v in want.items() if v}
 
 
 def test_poly_pow():
