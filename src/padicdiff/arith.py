@@ -12,10 +12,11 @@ share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
-from typing import Iterable, Optional, Union
+from functools import cached_property, total_ordering
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError
 
@@ -27,6 +28,7 @@ __all__ = [
     "BOTTOM",
     "Interval",
     "padic_valuation",
+    "min_valuation",
     "log_abs",
     "digit_sum",
     "factorial_log_abs",
@@ -34,6 +36,10 @@ __all__ = [
 ]
 
 Rational = Union[int, Fraction]
+
+# Python's default limit on the digits of an int <-> str conversion; a number
+# past it can be neither parsed from text nor printed in a report
+MAX_DIGITS = 4300
 
 
 # Miller-Rabin with the first 12 primes as bases is exact below this bound
@@ -79,6 +85,17 @@ class Prime:
             raise InputError(f"p must be below {_PRIME_LIMIT}")
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise InputError(f"not a prime: {self.p!r}")
+
+    @cached_property
+    def _word_power(self) -> tuple[int, dict[int, int]]:
+        """W = p^k, the largest power of p below 2^60 (k >= 1, so W = p for
+        a larger p), and the table {p^j: j} of its divisors."""
+        w, k = self.p, 1
+        table = {1: 0, w: 1}
+        while w * self.p < 2**60:
+            w, k = w * self.p, k + 1
+            table[w] = k
+        return w, table
 
     @property
     def log_pi(self) -> Fraction:
@@ -188,6 +205,21 @@ def padic_valuation(n: int, p: Union[int, Prime]) -> int:
             n = quo
             v += step
     return v
+
+
+def min_valuation(values: Sequence[int], p: Union[int, Prime]) -> int:
+    """min v_p over a non-empty sequence of nonzero integers.
+
+    gcd(W, *values) with the word-sized W = p^k is p^min(v, k), found in one
+    C call at about one small modulus per value; only when every value is
+    divisible by W does it fall back to the valuation of the full gcd.
+    """
+    q = as_prime(p)
+    w, table = q._word_power
+    g = math.gcd(w, *values)
+    if g != w:
+        return table[g]
+    return padic_valuation(math.gcd(*values), q)
 
 
 def log_abs(a: Rational, p: Union[int, Prime]) -> LogMag:

@@ -56,7 +56,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import Interval, as_prime, log_abs
+from .arith import MAX_DIGITS, Interval, as_prime, log_abs
 from .catalog import catalog_get, catalog_names, catalog_summaries
 from .diagnostics import (
     INCONCLUSIVE,
@@ -83,10 +83,6 @@ from .spectral import cyclic_vector
 __all__ = ["main"]
 
 
-# Python's default limit on the digits of an int <-> str conversion
-_MAX_DIGITS = 4300
-
-
 def _parse_fraction(text: str) -> Fraction:
     # Fraction expands a decimal exponent in full, and a number past the digit
     # limit cannot be printed in a report or an error message: bound the digits
@@ -94,10 +90,10 @@ def _parse_fraction(text: str) -> Fraction:
     text = text.strip()
     size = sum(len(run) for run in re.findall(r"\d+", text))
     exponent = re.search(r"e([-+]?\d+)$", text, re.IGNORECASE)
-    if exponent and size <= _MAX_DIGITS:
+    if exponent and size <= MAX_DIGITS:
         size += abs(int(exponent.group(1)))
-    if size > _MAX_DIGITS:
-        raise InputError(f"number with more than {_MAX_DIGITS} digits: {text[:32]!r}")
+    if size > MAX_DIGITS:
+        raise InputError(f"number with more than {MAX_DIGITS} digits: {text[:32]!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -137,7 +133,7 @@ RUN_KEYS = {
     "method": (_one_of(TAIL_MIN, TAIL_SLOPE), TAIL_MIN),
     "tolerance": (_tolerance, 0.02),
     "rho": (_parse_fraction, None),
-    "h": (int, 1),
+    "h": (_positive_int, 1),
     "seed": (int, 0),
 }
 MODULE_KEYS = ("p", "variable", "matrix", "interval", "log_interval")
@@ -423,7 +419,7 @@ def _module_config_text(module: DiffModule) -> str:
         f"variable = {module.var}\n"
         "matrix =\n"
         f"{rows}\n"
-        f"log_interval = {module.interval.lo}, {module.interval.hi}\n"
+        f"log_interval = {frac_str(module.interval.lo)}, {frac_str(module.interval.hi)}\n"
     )
 
 

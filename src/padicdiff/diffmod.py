@@ -26,11 +26,13 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .arith import (
+    MAX_DIGITS,
     Interval,
     Prime,
     Rational,
     as_prime,
     factorial_log_abs,
+    min_valuation,
     padic_valuation,
     upper_hull,
 )
@@ -302,10 +304,13 @@ class RecursionState:
     that exponent's coefficient across the entries of S_n: only hull
     vertices can attain the Gauss norm max(-v + e*rho), and a hull has a
     handful of vertices where S_n has hundreds of exponents.  Hulls are
-    built on the first norm query that reaches n and evaluated in integers;
-    log_p |n!| comes from a table grown with the recursion.  The state keeps
-    the module's prime and rank, not the module, so a module that caches
-    its state is freed by reference counting alone.
+    built on the first norm query that reaches n: the coefficients of S_n
+    are grouped by exponent across all entries, and each group's minimal
+    valuation is ``arith.min_valuation``, one gcd against a word-sized power
+    of p rather than a valuation per coefficient.  Hulls are evaluated in
+    integers; log_p |n!| comes from a table grown with the recursion.  The
+    state keeps the module's prime and rank, not the module, so a module
+    that caches its state is freed by reference counting alone.
     """
 
     def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
@@ -409,16 +414,14 @@ class RecursionState:
         [] when S_n = 0.  Built once per n from the integer coefficients."""
         hull = self._hulls[n]
         if hull is None:
-            merged: dict[int, int] = {}
-            p = self.p
+            groups: dict[int, list[int]] = {}
             for row in self._S[n]:
                 for c in row:
                     for e, v in c.items():
-                        w = padic_valuation(v, p)
-                        old = merged.get(e)
-                        if old is None or w < old:
-                            merged[e] = w
-            hull = upper_hull(sorted((e, -w) for e, w in merged.items()))
+                        groups.setdefault(e, []).append(v)
+            hull = upper_hull(
+                sorted((e, -min_valuation(vs, self.p)) for e, vs in groups.items())
+            )
             self._hulls[n] = hull
         return hull
 
@@ -522,6 +525,10 @@ def frobenius_pullback(module: DiffModule, h: int = 1) -> DiffModule:
     if h < 1:
         raise InputError("h must be a positive integer")
     p = module.p.p
+    # exponents grow as p^h and the interval shrinks by p^-h; past the digit
+    # limit neither can be printed (p^h >= 2^h > 10^MAX_DIGITS from h = 4*MAX_DIGITS)
+    if h >= 4 * MAX_DIGITS or p**h >= 10**MAX_DIGITS:
+        raise InputError(f"h = {h}: p^h = {p}^{h} has more than {MAX_DIGITS} digits")
     out = module
     factor = RationalFunction(LaurentPoly.x(p - 1, p))
     for _ in range(h):

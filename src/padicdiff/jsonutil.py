@@ -6,6 +6,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Union
 
+from .arith import MAX_DIGITS
+from .errors import InputError
+
 SCHEMA_VERSION = 1
 
 
@@ -17,13 +20,21 @@ def fmt_float(x: Union[int, float, Fraction, None]) -> Optional[float]:
 
 
 def frac_str(x: Union[int, float, Fraction, None]) -> Optional[str]:
-    """Exact "num/den" text for rationals; fixed-precision text for floats."""
+    """Exact "num/den" text for rationals; fixed-precision text for floats.
+
+    A rational past the digit limit cannot be written as text (and would not
+    parse back): that is an InputError, so the run fails closed.
+    """
     if x is None:
         return None
     if isinstance(x, float):
         return f"{x:.12g}"
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(Fraction(x))
+    except ValueError as exc:
+        raise InputError(
+            f"a result has more than {MAX_DIGITS} digits and cannot be printed"
+        ) from exc
 
 
 def estimate_json(est) -> dict:

@@ -22,8 +22,19 @@ import re
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .arith import BOTTOM, Interval, LogMag, Prime, Rational, as_prime, log_abs, upper_hull
+from .arith import (
+    BOTTOM,
+    MAX_DIGITS,
+    Interval,
+    LogMag,
+    Prime,
+    Rational,
+    as_prime,
+    log_abs,
+    upper_hull,
+)
 from .errors import InputError, ParseError
+from .jsonutil import frac_str
 
 __all__ = [
     "LaurentPoly",
@@ -559,6 +570,10 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
         if not m:
             break
         if m.group(1) is not None:
+            if len(m.group(1)) > MAX_DIGITS:
+                raise ParseError(
+                    f"integer literal with more than {MAX_DIGITS} digits at position {m.start(1)}"
+                )
             tokens.append(("int", int(m.group(1))))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2)))
@@ -669,10 +684,6 @@ def parse_rational_function(text: str, var: str = "x") -> RationalFunction:
     return _Parser(_tokenize(text), var).parse()
 
 
-def _coeff_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 def poly_to_str(f: LaurentPoly, var: str = "x") -> str:
     """Canonical text form, ascending exponents; re-parses to an equal value."""
     if f.is_zero:
@@ -682,10 +693,10 @@ def poly_to_str(f: LaurentPoly, var: str = "x") -> str:
         v = f.coeff(e)
         mag = abs(v)
         if e == 0:
-            body = _coeff_str(mag)
+            body = frac_str(mag)
         else:
-            xs = var if e == 1 else f"{var}^{e}"
-            body = xs if mag == 1 else f"{_coeff_str(mag)}*{xs}"
+            xs = var if e == 1 else f"{var}^{frac_str(e)}"
+            body = xs if mag == 1 else f"{frac_str(mag)}*{xs}"
         if not parts:
             parts.append(body if v > 0 else f"-{body}")
         else:

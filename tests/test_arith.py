@@ -12,6 +12,7 @@ from padicdiff.arith import (
     digit_sum,
     factorial_log_abs,
     log_abs,
+    min_valuation,
     padic_valuation,
     upper_hull,
 )
@@ -71,6 +72,9 @@ def test_large_primes_are_fast_and_exact():
 def test_valuation_of_zero_rejected():
     with pytest.raises(InputError):
         padic_valuation(0, 2)
+    for values in ([0], [0, 0], []):
+        with pytest.raises(InputError):
+            min_valuation(values, 3)
 
 
 def naive_valuation(n, p):
@@ -92,6 +96,32 @@ def naive_valuation(n, p):
 def test_padic_valuation_matches_repeated_division(p, k, unit, as_prime_obj):
     n = unit * p**k
     assert padic_valuation(n, Prime(p) if as_prime_obj else p) == naive_valuation(n, p)
+
+
+MERSENNE_61 = 2**61 - 1  # above 2^60, so its word power is p itself
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7, MERSENNE_61]),
+    base=st.integers(0, 130),
+    terms=st.lists(
+        st.tuples(st.integers(-(10**30), 10**30).filter(bool), st.integers(0, 40)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+# every value divisible by the word power p^k (k = 59, 37, 1): the fallback runs
+@example(p=2, base=60, terms=[(1, 0), (-3, 5)])
+@example(p=3, base=38, terms=[(-1, 0)])
+@example(p=MERSENNE_61, base=2, terms=[(5, 0), (7, 3)])
+# the minimum is exactly k: the gcd equals the word power, and the fallback runs too
+@example(p=7, base=21, terms=[(1, 0), (2, 0)])
+def test_min_valuation_matches_the_minimum_of_valuations(p, base, terms):
+    """Values unit * p^(base + extra): negative, single and, for base past the
+    word power's exponent, all on the gcd fallback."""
+    values = [unit * p ** (base + extra) for unit, extra in terms]
+    assert min_valuation(values, p) == min(padic_valuation(v, p) for v in values)
+    assert min_valuation(values, Prime(p)) == min_valuation(values, p)
 
 
 @st.composite

@@ -1,8 +1,9 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from padicdiff import cli
 from padicdiff.cli import log_radius_of, main
@@ -312,6 +313,13 @@ def case(config, argv, error_type, named, id):
              "318665857834031151167461", "p-past-primality-limit"),
         case(MODULE, ["bounded", "--rho", "100", "--log-r", "0", "--depth", "20"], "DomainError",
              "rho=100", "bounded-rho-outside-interval"),
+        case(MODULE + "[run]\nh = 0\n", ["radius"], "InputError", "h = ", "run-h-0"),
+        case(MODULE, ["pullback", "--h", "15000"], "InputError", "h = 15000",
+             "pullback-h-past-digit-limit"),
+        case(MODULE, ["frobenius", "--h", "15000", "--depth", "32", "--grid", "3"], "InputError",
+             "h = 15000", "frobenius-h-past-digit-limit"),
+        case(MODULE.replace("0, 1\n", "0, " + "7" * 5000 + "\n"), ["pullback"], "ParseError",
+             "4300", "matrix-literal-past-digit-limit"),
         case(MODULE, ["nonsense"], "InputError", "nonsense", "unknown-command"),
         case(MODULE, [], "InputError", "command", "no-command"),
     ],
@@ -373,4 +381,37 @@ def test_fuzz_run_section_fails_closed(tmp_path, capsys, command, entries):
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3)
     if code in (1, 3):
+        assert_one_json_error(err)
+
+
+# matrix cells: single characters of the grammar, digit runs up to past the
+# literal limit, and exponents of at most 2 digits.  The grammar puts no cap
+# on the size of a power such as (1+x)^100000, so no exponent may grow: "^k"
+# carries a trailing space, and so does "*", because "**" is also a power.
+_CELL_TOKENS = st.one_of(
+    st.sampled_from(["x", "+", "-", "* ", "/", "(", ")", " ", "0", "1", "2", "3"]),
+    st.integers(-99, 99).map(lambda k: f"^{k} "),
+    st.text("0123456789", min_size=1, max_size=8),
+    st.integers(1, 5000).map(lambda k: "9" * k),
+)
+_CELLS = st.lists(_CELL_TOKENS, min_size=1, max_size=8).map("".join)
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(cells=st.one_of(*(st.lists(_CELLS, min_size=n, max_size=n) for n in (1, 4))))
+@example(cells=["9" * 59 + "^73"])  # a 4,307-digit coefficient to print
+@example(cells=["2^-99", "x^99", "9" * 4300, "0"])  # 2 * (10^4300 - 1) after the pullback
+def test_fuzz_module_matrix_fails_closed(tmp_path, capsys, cells):
+    rank = math.isqrt(len(cells))
+    rows = "\n".join(
+        "    " + ", ".join(cells[i * rank:(i + 1) * rank]) for i in range(rank)
+    )
+    path = tmp_path / "module.ini"
+    path.write_text(f"[module]\np = 2\nmatrix =\n{rows}\ninterval = 1/2, 2\n", encoding="utf-8")
+    code = main(["pullback", "--config", str(path), "--h", "1"])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code == 1:
         assert_one_json_error(err)

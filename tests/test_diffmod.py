@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicdiff.arith import Interval, Prime, log_abs
+from padicdiff import arith
+from padicdiff.arith import Interval, Prime, log_abs, padic_valuation
 from padicdiff.diffmod import (
     DiffModule,
     RFMatrix,
@@ -308,6 +309,12 @@ def wide_state():
 )
 def test_log_norms_match_brute_force_gauss_norms(wide_state, rho, include_factorial):
     state, numerators = wide_state
+    assert state.log_norms(rho, 24, include_factorial) == brute_force_log_norms(
+        state, numerators, rho, include_factorial
+    )
+
+
+def brute_force_log_norms(state, numerators, rho, include_factorial):
     p = state.p
     q_norm = state.Q.gauss_norm(rho, p).log
     want = []
@@ -318,7 +325,30 @@ def test_log_norms_match_brute_force_gauss_norms(wide_state, rho, include_factor
             continue
         val = max(norms) - n * q_norm
         want.append(val - log_abs(math.factorial(n), p).log if include_factorial else val)
-    assert state.log_norms(rho, 24, include_factorial) == want
+    return want
+
+
+@pytest.fixture(scope="module")
+def word_power_state():
+    """G = (3^40) at p = 3: S_n = 3^(40n), so for n >= 1 every coefficient is
+    divisible by the word power 3^37 of ``min_valuation``.  The hulls are
+    built under a counting ``padic_valuation`` to see that its fallback ran."""
+    state = gn_sequence(scalar_module(str(3**40), p=3), 12)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "padic_valuation", lambda n, p: calls.append(n) or padic_valuation(n, p))
+        for n in range(13):
+            state._hull(n)
+    return state, [state.P(n) for n in range(13)], calls
+
+
+@given(rho=st.fractions(-3, 3, max_denominator=40), include_factorial=st.booleans())
+def test_log_norms_past_the_word_power_match_gauss_norms(word_power_state, rho, include_factorial):
+    state, numerators, calls = word_power_state
+    assert calls == [3 ** (40 * n) for n in range(1, 13)]
+    assert state.log_norms(rho, 12, include_factorial) == brute_force_log_norms(
+        state, numerators, rho, include_factorial
+    )
 
 
 # -- ramification pullback -------------------------------------------------------------
