@@ -55,7 +55,6 @@ from .laurent import (
     LaurentPoly,
     RationalFunction,
     gauss_norm,
-    interval_max_principle_check,
     newton_root_logmags,
     parse_rational_function,
     pole_free_on,

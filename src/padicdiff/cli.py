@@ -138,9 +138,6 @@ RUN_KEYS = {
 }
 MODULE_KEYS = ("p", "variable", "matrix", "interval", "log_interval")
 
-# the module, ``normalized``, and one attribute per RUN_KEYS entry
-RunConfig = argparse.Namespace
-
 
 def _cast(key: str, cast, value):
     try:
@@ -247,13 +244,14 @@ def _module_from_args(args) -> tuple[DiffModule, dict]:
     raise InputError("a module is required: --config FILE or --catalog NAME")
 
 
-def _merge_config(args, module: DiffModule, run: dict) -> RunConfig:
+def _merge_config(args, module: DiffModule, run: dict) -> argparse.Namespace:
+    """The module, ``normalized``, and one attribute per RUN_KEYS entry."""
     values = {}
     for key, (cast, default) in RUN_KEYS.items():
         value = _cast(key, cast, run[key]) if key in run else default
         flag = getattr(args, key)
         values[key] = value if flag is None else _cast(key, cast, flag)
-    return RunConfig(module=module, normalized=not args.unnormalized, **values)
+    return argparse.Namespace(module=module, normalized=not args.unnormalized, **values)
 
 
 def _emit(args, payload: dict) -> None:
@@ -268,7 +266,7 @@ def _write(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
-def _require_rho(cfg: RunConfig) -> Fraction:
+def _require_rho(cfg: argparse.Namespace) -> Fraction:
     if cfg.rho is None:
         raise InputError("this command needs --rho (or rho= in [run])")
     return cfg.rho
@@ -279,7 +277,7 @@ def _require_rho(cfg: RunConfig) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_norms(args, cfg: RunConfig) -> int:
+def _cmd_norms(args, cfg: argparse.Namespace) -> int:
     rho = _require_rho(cfg)
     seq = norm_sequence(
         cfg.module, rho, cfg.depth, include_factorial=cfg.normalized
@@ -294,7 +292,7 @@ def _cmd_norms(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_radius(args, cfg: RunConfig) -> int:
+def _cmd_radius(args, cfg: argparse.Namespace) -> int:
     rhos = [cfg.rho] if cfg.rho is not None else cfg.module.interval.interior_grid(cfg.grid)
     ests = [
         radius_estimate(
@@ -315,7 +313,7 @@ def _cmd_radius(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_polygon(args, cfg: RunConfig) -> int:
+def _cmd_polygon(args, cfg: argparse.Namespace) -> int:
     poly = polygon_estimate(
         cfg.module,
         grid=cfg.grid,
@@ -337,7 +335,7 @@ def _cmd_polygon(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_bounded(args, cfg: RunConfig) -> int:
+def _cmd_bounded(args, cfg: argparse.Namespace) -> int:
     rho = _require_rho(cfg)
     if args.log_r is not None:
         log_r = _parse_fraction(args.log_r)
@@ -356,7 +354,7 @@ def _cmd_bounded(args, cfg: RunConfig) -> int:
     return 2 if report.classification == INCONCLUSIVE else 0
 
 
-def _cmd_theorem(args, cfg: RunConfig) -> int:
+def _cmd_theorem(args, cfg: argparse.Namespace) -> int:
     report = theorem_check(
         cfg.module,
         grid=cfg.grid,
@@ -378,7 +376,7 @@ def _cmd_theorem(args, cfg: RunConfig) -> int:
     return 2 if report.verdict == VERDICT_UNCLEAR else 0
 
 
-def _cmd_frobenius(args, cfg: RunConfig) -> int:
+def _cmd_frobenius(args, cfg: argparse.Namespace) -> int:
     report = frobenius_radius_check(
         cfg.module, h=cfg.h, grid=cfg.grid, depth=cfg.depth, tol=cfg.tolerance
     )
@@ -391,7 +389,7 @@ def _cmd_frobenius(args, cfg: RunConfig) -> int:
     return 0 if report.passed else 2
 
 
-def _cmd_cyclic(args, cfg: RunConfig) -> int:
+def _cmd_cyclic(args, cfg: argparse.Namespace) -> int:
     red = cyclic_vector(cfg.module, seed=cfg.seed)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -423,7 +421,7 @@ def _module_config_text(module: DiffModule) -> str:
     )
 
 
-def _cmd_pullback(args, cfg: RunConfig) -> int:
+def _cmd_pullback(args, cfg: argparse.Namespace) -> int:
     pulled = frobenius_pullback(cfg.module, cfg.h)
     _write(args.out, _module_config_text(pulled))
     return 0

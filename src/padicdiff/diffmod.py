@@ -11,7 +11,7 @@ This file owns the exact machinery around that object:
 * ramification pullback F(z) -> p x^(p-1) F(x^p),
 * companion matrices of monic scalar operators.
 
-The recursion stores scaled integer numerators S_n with
+The recursion computes scaled integer numerators S_n with
 G_n = S_n / (d^n Q^n), where Q is the common denominator of G and d clears
 the remaining coefficient denominators; every step is then integer
 polynomial arithmetic, which keeps the growth of intermediate objects to
@@ -289,9 +289,8 @@ def _int_dict(f: LaurentPoly) -> dict[int, int]:
 class RecursionState:
     """Taylor-coefficient matrices of a module, scaled to integers.
 
-    ``P(n)`` returns the rational numerator matrix with G_n = P(n) / Q^n;
-    internally P(n) = S_n / d^n with integer S_n and a fixed integer d that
-    clears the coefficient denominators of Q*G, so each step
+    G_n = S_n / (d^n Q^n) with integer S_n and a fixed integer d that clears
+    the coefficient denominators of Q*G, so each step
 
         S_{n+1} = d*(Q*S_n' - n*S_n*Q') + S_n*(d*Q*G)
 
@@ -299,18 +298,17 @@ class RecursionState:
     by the package's one polynomial product, ``laurent._mul_acc``, with the
     short factors Q and Q' in its outer loop, so Q = 1 costs nothing extra.
 
-    Norm queries never rebuild coefficients.  For each n the state caches
-    the upper hull of the points (exponent, -v), v the minimal valuation of
-    that exponent's coefficient across the entries of S_n: only hull
-    vertices can attain the Gauss norm max(-v + e*rho), and a hull has a
-    handful of vertices where S_n has hundreds of exponents.  Hulls are
-    built on the first norm query that reaches n: the coefficients of S_n
-    are grouped by exponent across all entries, and each group's minimal
-    valuation is ``arith.min_valuation``, one gcd against a word-sized power
-    of p rather than a valuation per coefficient.  Hulls are evaluated in
-    integers; log_p |n!| comes from a table grown with the recursion.  The
-    state keeps the module's prime and rank, not the module, so a module
-    that caches its state is freed by reference counting alone.
+    The state keeps only the newest S_n, n = ``depth``, which ``P()`` and
+    ``term_matrix()`` describe.  For every n it keeps the upper hull of the
+    points (exponent, -v), v the minimal valuation of that exponent's
+    coefficient across the entries of S_n: only hull vertices can attain the
+    Gauss norm max(-v + e*rho), and a hull has a handful of vertices where
+    S_n has hundreds of exponents.  Each step builds its hull at once from
+    the coefficients grouped by exponent, one ``arith.min_valuation`` gcd per
+    group; every norm query reads every n <= depth anyway.  Hulls are
+    evaluated in integers; log_p |n!| comes from a table grown with the
+    recursion.  The state keeps the module's prime and rank, not the module,
+    so a module that caches its state is freed by reference counting alone.
     """
 
     def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
@@ -352,25 +350,28 @@ class RecursionState:
         self.d = d
         self._ptilde = tuple(tuple(_int_dict(pe * d) for pe in row) for row in p_entries)
 
+        # S_n lives in a one-slot list and _coeff_count counts every
+        # coefficient computed so far: perfbench/tracer.py reads both
         ident = tuple(tuple({0: 1} if i == j else {} for j in range(mu)) for i in range(mu))
         self._S: list[tuple[tuple[dict[int, int], ...], ...]] = [ident]
         self._coeff_count = mu
-        self._hulls: list[Optional[list[tuple[int, int]]]] = [None]
+        self._hulls: list[list[tuple[int, int]]] = [[(0, 0)]]
         self._factorial_logs = [Fraction(0)]
         self._vp_d = padic_valuation(d, self.p)
         self.extend(depth)
 
     @property
     def depth(self) -> int:
-        return len(self._S) - 1
+        return len(self._hulls) - 1
 
     def extend(self, depth: int) -> None:
-        mu = self.rank
+        mu, p = self.rank, self.p
         q, dq, pt, d = self._q, self._dq, self._ptilde, self.d
         while self.depth < depth:
             n = self.depth
             S = self._S[-1]
             new_rows = []
+            groups: dict[int, list[int]] = {}
             for i in range(mu):
                 row = []
                 for j in range(mu):
@@ -380,50 +381,41 @@ class RecursionState:
                         _mul_acc(acc, pt[t][j], S[i][t])
                     _mul_acc(acc, q, _deriv(S[i][j]), d)
                     _mul_acc(acc, dq, S[i][j], -n * d)
-                    row.append({e: v for e, v in acc.items() if v})
+                    c = {e: v for e, v in acc.items() if v}
+                    for e, v in c.items():
+                        groups.setdefault(e, []).append(v)
+                    row.append(c)
                 new_rows.append(tuple(row))
-            self._S.append(tuple(new_rows))
-            self._hulls.append(None)
-            self._factorial_logs.append(factorial_log_abs(self.depth, self.p))
+            self._S[-1] = tuple(new_rows)
+            self._hulls.append(
+                upper_hull(sorted((e, -min_valuation(vs, p)) for e, vs in groups.items()))
+            )
+            self._factorial_logs.append(factorial_log_abs(n + 1, p))
             self._coeff_count += sum(len(c) for row in new_rows for c in row)
             if self._coeff_count > self.budget:
                 raise BudgetExceededError(
-                    f"recursion stopped at n={self.depth}: "
-                    f"{self._coeff_count} stored coefficients exceed budget {self.budget}"
+                    f"recursion stopped at n={n + 1}: {self._coeff_count} "
+                    f"coefficients computed exceed budget {self.budget}"
                 )
 
-    # -- exact views ---------------------------------------------------------
+    # -- exact view of the current step ----------------------------------------
 
-    def P(self, n: int) -> list[list[LaurentPoly]]:
-        """Numerator matrix with G_n = P(n) / Q^n, exact rational coefficients."""
-        scale = Fraction(1, self.d**n)
+    def P(self) -> list[list[LaurentPoly]]:
+        """Numerator matrix with G_n = P() / Q^n for n = ``depth``, exact
+        rational coefficients."""
+        scale = Fraction(1, self.d**self.depth)
         return [
             [LaurentPoly({e: v * scale for e, v in c.items()}) for c in row]
-            for row in self._S[n]
+            for row in self._S[-1]
         ]
 
-    def term_matrix(self, n: int) -> RFMatrix:
-        """G_n as a matrix of rational functions (unreduced P(n)/Q^n)."""
-        qn = self.Q**n
-        return RFMatrix([[RationalFunction(pe, qn) for pe in row] for row in self.P(n)])
+    def term_matrix(self) -> RFMatrix:
+        """G_n for n = ``depth`` as a matrix of rational functions (unreduced
+        P()/Q^n)."""
+        qn = self.Q**self.depth
+        return RFMatrix([[RationalFunction(pe, qn) for pe in row] for row in self.P()])
 
     # -- norms ----------------------------------------------------------------
-
-    def _hull(self, n: int) -> list[tuple[int, int]]:
-        """Upper hull of (exponent, -min valuation over entries) for S_n;
-        [] when S_n = 0.  Built once per n from the integer coefficients."""
-        hull = self._hulls[n]
-        if hull is None:
-            groups: dict[int, list[int]] = {}
-            for row in self._S[n]:
-                for c in row:
-                    for e, v in c.items():
-                        groups.setdefault(e, []).append(v)
-            hull = upper_hull(
-                sorted((e, -min_valuation(vs, self.p)) for e, vs in groups.items())
-            )
-            self._hulls[n] = hull
-        return hull
 
     def log_norms(
         self,
@@ -443,7 +435,7 @@ class RecursionState:
         shift = self._vp_d - self.Q.gauss_norm(rho, self.p).log
         out: list[Optional[Fraction]] = []
         for n in range(depth + 1):
-            hull = self._hull(n)
+            hull = self._hulls[n]
             if not hull:
                 out.append(None)
                 continue
@@ -520,7 +512,9 @@ def frobenius_pullback(module: DiffModule, h: int = 1) -> DiffModule:
 
     One step sends the matrix F(z) of d/dz to p x^(p-1) F(x^p), the matrix of
     d/dx after z = x^p, and maps the interval of log-radii to its p-th part
-    (rho -> rho/p).  The rank is unchanged.
+    (rho -> rho/p).  h steps compose to the one substitution z = x^(p^h),
+    F(z) -> p^h x^(p^h-1) F(x^(p^h)), done here at once.  The rank is
+    unchanged.
     """
     if h < 1:
         raise InputError("h must be a positive integer")
@@ -529,15 +523,10 @@ def frobenius_pullback(module: DiffModule, h: int = 1) -> DiffModule:
     # limit neither can be printed (p^h >= 2^h > 10^MAX_DIGITS from h = 4*MAX_DIGITS)
     if h >= 4 * MAX_DIGITS or p**h >= 10**MAX_DIGITS:
         raise InputError(f"h = {h}: p^h = {p}^{h} has more than {MAX_DIGITS} digits")
-    out = module
-    factor = RationalFunction(LaurentPoly.x(p - 1, p))
-    for _ in range(h):
-        rows = [
-            [(e.substitute_power(p) * factor).reduce() for e in row]
-            for row in out.matrix.rows
-        ]
-        out = DiffModule(out.p, RFMatrix(rows), out.interval.scaled(Fraction(1, p)), out.var)
-    return out
+    q = p**h
+    factor = RationalFunction(LaurentPoly.x(q - 1, q))
+    rows = [[(e.substitute_power(q) * factor).reduce() for e in row] for row in module.matrix.rows]
+    return DiffModule(module.p, RFMatrix(rows), module.interval.scaled(Fraction(1, q)), module.var)
 
 
 def companion_of(

@@ -22,7 +22,7 @@ class DomainError(PadicDiffError):
 
 
 class BudgetExceededError(PadicDiffError):
-    """The depth/memory budget of the Taylor recursion was exhausted."""
+    """The Taylor recursion computed more coefficients than its budget allows."""
 
 
 class CyclicSearchError(PadicDiffError):

@@ -42,7 +42,6 @@ __all__ = [
     "gauss_norm",
     "newton_root_logmags",
     "pole_free_on",
-    "interval_max_principle_check",
     "parse_rational_function",
     "poly_to_str",
     "rf_to_str",
@@ -536,28 +535,35 @@ def pole_logmags(f: RationalFunction, p: Union[int, Prime]) -> list[Fraction]:
     return sorted({s for s, _ in newton_root_logmags(r.den, p)})
 
 
-def interval_max_principle_check(
-    f: RationalFunction,
-    rho1: Rational,
-    rho: Rational,
-    rho2: Rational,
-    p: Union[int, Prime],
-) -> bool:
-    """Whether |f| at rho is bounded by the max of the endpoint norms.
-
-    Always true for a function pole-free on [rho1, rho2]; exposed as a test
-    oracle for the interval maximum principle.
-    """
-    rho1, rho, rho2 = Fraction(rho1), Fraction(rho), Fraction(rho2)
-    if not rho1 <= rho <= rho2:
-        raise InputError("need rho1 <= rho <= rho2")
-    mid = gauss_norm(f, rho, p)
-    return mid <= max(gauss_norm(f, rho1, p), gauss_norm(f, rho2, p))
-
-
 # ---------------------------------------------------------------------------
 # text grammar
 # ---------------------------------------------------------------------------
+
+# largest exponent span, |n| times the span of the base, of a power in
+# matrix text: expanding (1+x)^n costs more than n^2, and (1+x)^2000 already
+# takes about 8 times as long as (1+x)^1000
+MAX_POWER_SPAN = 1000
+
+
+def _check_power_size(base: RationalFunction, n: int) -> None:
+    """Reject base^n before computing it when the result would be too large.
+
+    With c clearing the denominators of f, every coefficient of f^|n| is a
+    quotient of integers of at most max(||c f||_1, c)^|n|, and the exponents
+    of f^|n| span |n| times those of f; this holds for numerator and
+    denominator alike, so a monomial such as x^100000 stays legal.
+    """
+    for f in (base.num, base.den):
+        if f.is_zero:
+            continue
+        c = math.lcm(*(v.denominator for v in f.coeffs.values()))
+        bound = max(sum(int(abs(v) * c) for v in f.coeffs.values()), c)
+        if bound > 1 and abs(n) > MAX_DIGITS / math.log10(bound):
+            raise ParseError(f"power ^{n}: coefficients would pass {MAX_DIGITS} digits")
+        support = f.support
+        if abs(n) * (support[-1] - support[0]) > MAX_POWER_SPAN:
+            raise ParseError(f"power ^{n}: exponents would span more than {MAX_POWER_SPAN}")
+
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\*\*|[-+*/^()]))")
 
@@ -644,7 +650,9 @@ class _Parser:
         base = self.atom()
         if self.peek() == ("op", "^"):
             self.take()
-            return base ** self.signed_int()
+            n = self.signed_int()
+            _check_power_size(base, n)
+            return base**n
         return base
 
     def signed_int(self) -> int:

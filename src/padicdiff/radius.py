@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arith import Interval, Rational, upper_hull
+from .arith import MAX_DIGITS, Interval, Rational, upper_hull
 from .diffmod import DiffModule, frobenius_pullback
 from .errors import DomainError, HypothesisViolationError, InputError
 
@@ -404,9 +404,16 @@ def frobenius_radius_check(
     threshold_shift = base_module.p.log_pi / p ** (h - 1)
     scale = p**h
 
+    rhos = pulled.interval.interior_grid(grid)
+    # each grid rho goes into the report: fail before the estimates when one
+    # cannot be printed
+    if any(max(abs(rho.numerator), rho.denominator) >= 10**MAX_DIGITS for rho in rhos):
+        raise InputError(
+            f"h = {h}: a grid rho of the pulled interval has more than {MAX_DIGITS} digits"
+        )
     points = []
     residuals = []
-    for rho in pulled.interval.interior_grid(grid):
+    for rho in rhos:
         est_m = radius_estimate(pulled, rho, depth)
         est_n = radius_estimate(base_module, scale * rho, depth)
         ok = est_m.tail_min > rho + threshold_shift

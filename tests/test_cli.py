@@ -318,8 +318,16 @@ def case(config, argv, error_type, named, id):
              "pullback-h-past-digit-limit"),
         case(MODULE, ["frobenius", "--h", "15000", "--depth", "32", "--grid", "3"], "InputError",
              "h = 15000", "frobenius-h-past-digit-limit"),
+        case(MODULE, ["frobenius", "--h", "14284", "--depth", "16", "--grid", "3"], "InputError",
+             "grid rho", "frobenius-grid-past-digit-limit"),
         case(MODULE.replace("0, 1\n", "0, " + "7" * 5000 + "\n"), ["pullback"], "ParseError",
              "4300", "matrix-literal-past-digit-limit"),
+        case(MODULE.replace("0, 1\n", "0, (1+x)^100000\n"), ["pullback"], "ParseError",
+             "4300 digits", "matrix-power-past-digit-limit"),
+        case(MODULE.replace("0, 1\n", "0, 3000**999999\n"), ["pullback"], "ParseError",
+             "4300 digits", "matrix-integer-power-past-digit-limit"),
+        case(MODULE.replace("0, 1\n", "0, (1+x)^2000\n"), ["pullback"], "ParseError",
+             "span more than 1000", "matrix-power-past-span-limit"),
         case(MODULE, ["nonsense"], "InputError", "nonsense", "unknown-command"),
         case(MODULE, [], "InputError", "command", "no-command"),
     ],
@@ -385,12 +393,13 @@ def test_fuzz_run_section_fails_closed(tmp_path, capsys, command, entries):
 
 
 # matrix cells: single characters of the grammar, digit runs up to past the
-# literal limit, and exponents of at most 2 digits.  The grammar puts no cap
-# on the size of a power such as (1+x)^100000, so no exponent may grow: "^k"
-# carries a trailing space, and so does "*", because "**" is also a power.
+# literal limit, and powers written "^k" or "**k" with exponents up to 7 digits
 _CELL_TOKENS = st.one_of(
-    st.sampled_from(["x", "+", "-", "* ", "/", "(", ")", " ", "0", "1", "2", "3"]),
-    st.integers(-99, 99).map(lambda k: f"^{k} "),
+    st.sampled_from(["x", "+", "-", "*", "/", "(", ")", " ", "0", "1", "2", "3"]),
+    st.tuples(
+        st.sampled_from(["^", "**"]),
+        st.one_of(st.integers(-99, 99), st.integers(-10**7, 10**7)),
+    ).map(lambda t: f"{t[0]}{t[1]}"),
     st.text("0123456789", min_size=1, max_size=8),
     st.integers(1, 5000).map(lambda k: "9" * k),
 )

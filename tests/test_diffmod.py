@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction as F
 
@@ -131,31 +132,31 @@ def test_gauge_can_introduce_poles():
 
 
 def test_gn_zero_module():
-    state = gn_sequence(scalar_module("0"), 8)
+    m = scalar_module("0")
     for n in range(1, 9):
-        assert state.term_matrix(n).is_zero
+        assert gn_sequence(m, n).term_matrix().is_zero
 
 
 def test_gn_constant_scalar():
-    state = gn_sequence(scalar_module("3"), 6)
+    m = scalar_module("3")
     for n in range(7):
-        assert state.term_matrix(n) == RFMatrix([[RationalFunction.constant(3**n)]])
+        assert gn_sequence(m, n).term_matrix() == RFMatrix([[RationalFunction.constant(3**n)]])
 
 
 def test_gn_euler_closed_form():
     # G = (a/x): G_n = a(a-1)...(a-n+1) / x^n
     a = F(1, 2)
-    state = gn_sequence(scalar_module("1/(2*x)"), 6)
+    m = scalar_module("1/(2*x)")
     coeff = F(1)
     for n in range(7):
         want = RationalFunction(LaurentPoly({-n: coeff}) if coeff else LaurentPoly.zero())
-        assert state.term_matrix(n) == RFMatrix([[want]])
+        assert gn_sequence(m, n).term_matrix() == RFMatrix([[want]])
         coeff *= a - n
     # a = 1 kills the sequence at n = 2
-    state2 = gn_sequence(scalar_module("1/x"), 4)
-    assert state2.term_matrix(1) == RFMatrix([[P("1/x")]])
-    assert state2.term_matrix(2).is_zero
-    assert state2.term_matrix(3).is_zero
+    m2 = scalar_module("1/x")
+    assert gn_sequence(m2, 1).term_matrix() == RFMatrix([[P("1/x")]])
+    assert gn_sequence(m2, 2).term_matrix().is_zero
+    assert gn_sequence(m2, 3).term_matrix().is_zero
 
 
 def test_gn_matches_direct_recursion():
@@ -164,10 +165,9 @@ def test_gn_matches_direct_recursion():
         mu = rng.randint(1, 3)
         G = RFMatrix([[rand_rf(rng) for _ in range(mu)] for _ in range(mu)])
         m = DiffModule(Prime(rng.choice([2, 3])), G, I01)
-        state = gn_sequence(m, 5)
         direct = RFMatrix.identity(mu)
         for n in range(6):
-            assert state.term_matrix(n) == direct
+            assert gn_sequence(m, n).term_matrix() == direct
             direct = (direct.derivative() + direct @ G).reduced()
 
 
@@ -199,25 +199,24 @@ def small_modules(draw):
 @given(case=small_modules())
 def test_term_matrix_matches_rfmatrix_recursion(case):
     m, general = case
-    state = gn_sequence(m, 4)
-    assert (state.Q == LaurentPoly.one()) != general
+    assert (gn_sequence(m, 0).Q == LaurentPoly.one()) != general
     direct = RFMatrix.identity(m.rank)
     for n in range(5):
-        assert state.term_matrix(n) == direct
+        assert gn_sequence(m, n).term_matrix() == direct
         direct = (direct.derivative() + direct @ m.matrix).reduced()
 
 
 def test_gn_invariant_p_over_q():
     # G_n = P(n)/Q^n holds by construction; spot-check entries
     m = DiffModule(P2, RFMatrix([[P("1/(1+x)"), P("2")], [P("0"), P("x/(1+x)")]]), I01)
-    state = gn_sequence(m, 4)
-    assert state.Q == LaurentPoly({0: 1, 1: 1})
+    assert gn_sequence(m, 0).Q == LaurentPoly({0: 1, 1: 1})
     for n in range(5):
-        pn = state.P(n)
+        state = gn_sequence(m, n)
+        pn = state.P()
         qn = state.Q**n
         for i in range(2):
             for j in range(2):
-                assert RationalFunction(pn[i][j], qn) == state.term_matrix(n).entry(i, j)
+                assert RationalFunction(pn[i][j], qn) == state.term_matrix().entry(i, j)
 
 
 def test_budget_guard():
@@ -246,6 +245,37 @@ def test_dropped_module_frees_its_state_without_gc():
         if was_enabled:
             gc.enable()
 
+
+
+def deep_rank3_module():
+    """The rank-3 companion module of the benchmark, denominator 1 + x."""
+    rows = [["0", "1", "0"], ["0", "0", "1"], ["1/(1+x)", "x", "2/x"]]
+    return DiffModule(Prime(3), RFMatrix.from_strings(rows), Interval(F(1, 2), 1))
+
+
+def test_state_holds_one_step_not_the_history():
+    # every S_n to depth 96 would hold about 11 MB; one S_n and the hulls well under 2
+    tracemalloc.start()
+    try:
+        m = deep_rank3_module()
+        gn_sequence(m, 96)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m._state.depth == 96
+    assert held < 2 * 2**20, f"{held / 2**20:.2f} MB held"
+
+
+def test_extending_in_two_calls_matches_one_call():
+    split, whole = deep_rank3_module(), deep_rank3_module()
+    gn_sequence(split, 24)
+    two_calls = gn_sequence(split, 48)
+    one_call = gn_sequence(whole, 48)
+    for rho in (F(1, 2), F(9, 16), F(3, 4), F(15, 16), 1):
+        for include_factorial in (True, False):
+            assert two_calls.log_norms(rho, 48, include_factorial) == one_call.log_norms(
+                rho, 48, include_factorial
+            )
 
 # -- norm sequences ------------------------------------------------------------------
 
@@ -293,11 +323,11 @@ def test_norm_sequence_unnormalized_flag():
 @pytest.fixture(scope="module")
 def wide_state():
     """Rank-2 module with a non-monomial denominator, its state to depth 24,
-    and the stored numerators P(n) with G_n = P(n) / Q^n."""
+    and the numerators P() with G_n = P() / Q^n, read as the state grows."""
     m = DiffModule(Prime(5), RFMatrix.from_strings([["x", "1/(1+2*x^2)"], ["3", "x^-1"]]),
                    Interval(F(1, 2), 2))
-    state = gn_sequence(m, 24)
-    return state, [state.P(n) for n in range(25)]
+    numerators = [gn_sequence(m, n).P() for n in range(25)]
+    return gn_sequence(m, 24), numerators
 
 
 @given(
@@ -333,13 +363,12 @@ def word_power_state():
     """G = (3^40) at p = 3: S_n = 3^(40n), so for n >= 1 every coefficient is
     divisible by the word power 3^37 of ``min_valuation``.  The hulls are
     built under a counting ``padic_valuation`` to see that its fallback ran."""
-    state = gn_sequence(scalar_module(str(3**40), p=3), 12)
+    m = scalar_module(str(3**40), p=3)
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith, "padic_valuation", lambda n, p: calls.append(n) or padic_valuation(n, p))
-        for n in range(13):
-            state._hull(n)
-    return state, [state.P(n) for n in range(13)], calls
+        numerators = [gn_sequence(m, n).P() for n in range(13)]
+    return gn_sequence(m, 12), numerators, calls
 
 
 @given(rho=st.fractions(-3, 3, max_denominator=40), include_factorial=st.booleans())
