@@ -208,7 +208,7 @@ def padic_valuation(n: int, p: Union[int, Prime]) -> int:
 
 
 def min_valuation(values: Sequence[int], p: Union[int, Prime]) -> int:
-    """min v_p over a non-empty sequence of nonzero integers.
+    """min v_p over a sequence of integers, not all zero (zeros are ignored).
 
     gcd(W, *values) with the word-sized W = p^k is p^min(v, k), found in one
     C call at about one small modulus per value; only when every value is

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 from .arith import (
@@ -41,8 +42,6 @@ from .laurent import (
     LaurentPoly,
     RationalFunction,
     _content,
-    _deriv,
-    _mul_acc,
     _poly_divmod,
     _poly_gcd,
     pole_free_on,
@@ -277,13 +276,28 @@ class DiffModule:
         return self._state
 
 
-def _int_dict(f: LaurentPoly) -> dict[int, int]:
-    out = {}
-    for e, v in f.coeffs.items():
+def _int_terms(f: LaurentPoly) -> list[tuple[int, int]]:
+    """(exponent, integer coefficient) pairs of f in increasing exponent order."""
+    out = []
+    for e, v in sorted(f.coeffs.items()):
         if v.denominator != 1:
             raise InputError("expected integer coefficients")
-        out[e] = v.numerator
+        out.append((e, v.numerator))
     return out
+
+
+class _Coeffs(list):
+    """One entry of S_n: the coefficients of x^(lo + g*k), k = 0, 1, ..., on
+    the state's stride g, first and last nonzero (or empty)."""
+
+    __slots__ = ("lo",)
+
+    def __init__(self, values=(), lo: int = 0):
+        super().__init__(values)
+        self.lo = lo
+
+    def values(self) -> "_Coeffs":
+        return self
 
 
 class RecursionState:
@@ -294,21 +308,35 @@ class RecursionState:
 
         S_{n+1} = d*(Q*S_n' - n*S_n*Q') + S_n*(d*Q*G)
 
-    stays in Z[x, 1/x].  Each entry of S_{n+1} is built in one accumulator
-    by the package's one polynomial product, ``laurent._mul_acc``, with the
-    short factors Q and Q' in its outer loop, so Q = 1 costs nothing extra.
+    stays in Z[x, 1/x].  A step shifts exponents by those of each d*Q*G
+    entry and by e - 1 for each exponent e of Q, and all these shifts agree
+    modulo the stride g, the gcd of their differences (g = p for a
+    ramification pullback, usually 1 otherwise).  So every exponent of S_n
+    lies in one residue class mod g, and each entry is stored densely on it:
+    a ``_Coeffs`` list of the coefficients of x^(lo + g*k).  An entry of
+    S_{n+1} is one zeroed list, added into by one slice axpy per term of the
+    short factors d*Q*G[t][j] and Q; the Q term folds S' and Q' into one
+    multiplier per coefficient, d*v*(e - n*f) for the term v*x^f of Q and the
+    exponent e of the coefficient.
 
     The state keeps only the newest S_n, n = ``depth``, which ``P()`` and
     ``term_matrix()`` describe.  For every n it keeps the upper hull of the
     points (exponent, -v), v the minimal valuation of that exponent's
     coefficient across the entries of S_n: only hull vertices can attain the
     Gauss norm max(-v + e*rho), and a hull has a handful of vertices where
-    S_n has hundreds of exponents.  Each step builds its hull at once from
-    the coefficients grouped by exponent, one ``arith.min_valuation`` gcd per
-    group; every norm query reads every n <= depth anyway.  Hulls are
-    evaluated in integers; log_p |n!| comes from a table grown with the
-    recursion.  The state keeps the module's prime and rank, not the module,
-    so a module that caches its state is freed by reference counting alone.
+    S_n has hundreds of exponents.  Each step builds its hull at once in one
+    aligned walk over the mu^2 zero-padded lists, one ``arith.min_valuation``
+    gcd per exponent, from both ends inwards to the first exponent of
+    valuation 0 (``_hull_of``); every norm query reads every n <= depth
+    anyway.  Hulls are evaluated in integers; log_p |n!| comes from a table
+    grown with the recursion.  The state keeps the module's prime and rank,
+    not the module, so a module that caches its state is freed by reference
+    counting alone.
+
+    ``perfbench/tracer.py`` reads two private fields: ``_S``, a one-slot list
+    whose ``_S[-1]`` holds S_n as rows of entries with a ``values()`` method,
+    and ``_coeff_count``, the number of nonzero coefficients computed so far,
+    which is also what ``budget`` bounds.
     """
 
     def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
@@ -331,8 +359,6 @@ class RecursionState:
         content = _content(q_dict)
         q_dict = {e: v / content for e, v in q_dict.items()}
         self.Q = LaurentPoly(q_dict)
-        self._q = _int_dict(self.Q)
-        self._dq = _deriv(self._q)
 
         # numerators of Q*G as Laurent polynomials, then clear denominators
         p_entries: list[list[LaurentPoly]] = []
@@ -348,12 +374,20 @@ class RecursionState:
             *(v.denominator for row in p_entries for pe in row for v in pe.coeffs.values())
         )
         self.d = d
-        self._ptilde = tuple(tuple(_int_dict(pe * d) for pe in row) for row in p_entries)
+        # the terms of the short factors, in increasing shift order: (shift,
+        # coefficient) of d*Q*G[t][j], and (f - 1, d*v, d*f*v) of v*x^f in Q
+        self._pt = tuple(tuple(_int_terms(pe * d) for pe in row) for row in p_entries)
+        self._qterms = tuple((f - 1, d * v, d * f * v) for f, v in _int_terms(self.Q))
+        shifts = [s for row in self._pt for terms in row for s, _ in terms]
+        shifts += [s for s, _, _ in self._qterms]
+        self._g = math.gcd(*(s - shifts[0] for s in shifts)) or 1
 
-        # S_n lives in a one-slot list and _coeff_count counts every
-        # coefficient computed so far: perfbench/tracer.py reads both
-        ident = tuple(tuple({0: 1} if i == j else {} for j in range(mu)) for i in range(mu))
-        self._S: list[tuple[tuple[dict[int, int], ...], ...]] = [ident]
+        # a one-slot list of rows of _Coeffs, whose values() is the list itself,
+        # because perfbench/tracer.py reads S_n as _S[-1] (see the docstring)
+        ident = tuple(
+            tuple(_Coeffs([1]) if i == j else _Coeffs() for j in range(mu)) for i in range(mu)
+        )
+        self._S: list[tuple[tuple[_Coeffs, ...], ...]] = [ident]
         self._coeff_count = mu
         self._hulls: list[list[tuple[int, int]]] = [[(0, 0)]]
         self._factorial_logs = [Fraction(0)]
@@ -365,38 +399,52 @@ class RecursionState:
         return len(self._hulls) - 1
 
     def extend(self, depth: int) -> None:
-        mu, p = self.rank, self.p
-        q, dq, pt, d = self._q, self._dq, self._ptilde, self.d
+        mu, p, g = self.rank, self.p, self._g
         while self.depth < depth:
             n = self.depth
-            S = self._S[-1]
-            new_rows = []
-            groups: dict[int, list[int]] = {}
-            for i in range(mu):
-                row = []
-                for j in range(mu):
-                    # sum_t S[i][t]*pt[t][j] + d*Q*S[i][j]' - n*d*Q'*S[i][j]
-                    acc: dict[int, int] = {}
-                    for t in range(mu):
-                        _mul_acc(acc, pt[t][j], S[i][t])
-                    _mul_acc(acc, q, _deriv(S[i][j]), d)
-                    _mul_acc(acc, dq, S[i][j], -n * d)
-                    c = {e: v for e, v in acc.items() if v}
-                    for e, v in c.items():
-                        groups.setdefault(e, []).append(v)
-                    row.append(c)
-                new_rows.append(tuple(row))
-            self._S[-1] = tuple(new_rows)
-            self._hulls.append(
-                upper_hull(sorted((e, -min_valuation(vs, p)) for e, vs in groups.items()))
+            new_rows = tuple(
+                tuple(self._next_entry(Si, j, n) for j in range(mu)) for Si in self._S[-1]
             )
+            self._S[-1] = new_rows
+            self._hulls.append(_hull_of(new_rows, g, p))
             self._factorial_logs.append(factorial_log_abs(n + 1, p))
-            self._coeff_count += sum(len(c) for row in new_rows for c in row)
+            self._coeff_count += sum(len(c) - c.count(0) for row in new_rows for c in row)
             if self._coeff_count > self.budget:
                 raise BudgetExceededError(
                     f"recursion stopped at n={n + 1}: {self._coeff_count} "
                     f"coefficients computed exceed budget {self.budget}"
                 )
+
+    def _next_entry(self, Si: Sequence[_Coeffs], j: int, n: int) -> _Coeffs:
+        """Entry (i, j) of S_{n+1} from row i of S_n:
+        sum_t S[i][t]*pt[t][j] + d*Q*S[i][j]' - n*d*Q'*S[i][j]."""
+        g, pt, qterms = self._g, self._pt, self._qterms
+        parts = [(b, pt[t][j]) for t, b in enumerate(Si) if b and pt[t][j]]
+        bq = Si[j]
+        ends = parts + [(bq, qterms)] if bq else parts
+        if not ends:
+            return _Coeffs()
+        lo = min(b.lo + terms[0][0] for b, terms in ends)
+        hi = max(b.lo + g * (len(b) - 1) + terms[-1][0] for b, terms in ends)
+        acc = [0] * ((hi - lo) // g + 1)
+        for b, terms in parts:
+            size = len(b)
+            for s, v in terms:
+                o = (b.lo + s - lo) // g
+                # a product by 1 still copies the big integer; skip it
+                if v == 1:
+                    acc[o : o + size] = [x + y for x, y in zip(acc[o : o + size], b)]
+                else:
+                    acc[o : o + size] = [x + v * y for x, y in zip(acc[o : o + size], b)]
+        if bq:
+            size = len(bq)
+            for s, dv, dfv in qterms:
+                o = (bq.lo + s - lo) // g
+                # the multiplier d*v*(e - n*f) at the exponent e = bq.lo + g*k
+                m0, dm = dv * bq.lo - n * dfv, dv * g
+                ramp = range(m0, m0 + dm * size, dm)
+                acc[o : o + size] = [x + m * y for x, m, y in zip(acc[o : o + size], ramp, bq)]
+        return _trimmed(acc, lo, g)
 
     # -- exact view of the current step ----------------------------------------
 
@@ -404,8 +452,9 @@ class RecursionState:
         """Numerator matrix with G_n = P() / Q^n for n = ``depth``, exact
         rational coefficients."""
         scale = Fraction(1, self.d**self.depth)
+        g = self._g
         return [
-            [LaurentPoly({e: v * scale for e, v in c.items()}) for c in row]
+            [LaurentPoly({c.lo + g * k: v * scale for k, v in enumerate(c) if v}) for c in row]
             for row in self._S[-1]
         ]
 
@@ -444,6 +493,45 @@ class RecursionState:
                 val -= self._factorial_logs[n]
             out.append(val)
         return out
+
+
+def _trimmed(acc: list[int], lo: int, g: int) -> _Coeffs:
+    """acc, the coefficients of x^(lo + g*k), without its zero ends."""
+    if not any(acc):
+        return _Coeffs()
+    a, b = 0, len(acc)
+    while not acc[a]:
+        a += 1
+    while not acc[b - 1]:
+        b -= 1
+    return _Coeffs(acc[a:b], lo + g * a)
+
+
+def _hull_of(rows, g: int, p: Prime) -> list[tuple[int, int]]:
+    """Upper hull of (e, -min v_p) over the exponents e with a nonzero
+    coefficient in some entry, walking the entries' lists side by side.
+
+    A point with v = 0 is as high as any point gets, so the hull is flat
+    between the first and the last of them: the walk from each end stops at
+    one, and no column is valued twice."""
+    entries = [c for row in rows for c in row if c]
+    if not entries:
+        return []
+    lo = min(c.lo for c in entries)
+    columns = list(zip_longest(*([0] * ((c.lo - lo) // g) + c for c in entries), fillvalue=0))
+
+    def walk(ks):
+        for k in ks:
+            col = columns[k]
+            if any(col):
+                v = min_valuation(col, p)
+                yield lo + g * k, -v
+                if not v:
+                    return
+
+    left = list(walk(range(len(columns))))
+    right = list(walk(range(len(columns) - 1, (left[-1][0] - lo) // g, -1)))
+    return upper_hull(left + right[::-1])
 
 
 @dataclass(frozen=True)

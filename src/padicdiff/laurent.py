@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .arith import (
     BOTTOM,
@@ -231,7 +231,6 @@ class LaurentPoly:
 def _mul_acc(acc: dict, a: Mapping[int, Rational], b: Mapping[int, Rational], k: int = 1) -> None:
     """acc += k*a*b in place, over {exponent: coefficient} maps.
 
-    The recursion passes integers, the rational helpers below Fractions.
     May leave zero coefficients in acc; callers filter once when the sum is
     complete.  The outer loop runs over a: pass the shorter factor first."""
     get = acc.get
@@ -539,30 +538,35 @@ def pole_logmags(f: RationalFunction, p: Union[int, Prime]) -> list[Fraction]:
 # text grammar
 # ---------------------------------------------------------------------------
 
-# largest exponent span, |n| times the span of the base, of a power in
-# matrix text: expanding (1+x)^n costs more than n^2, and (1+x)^2000 already
-# takes about 8 times as long as (1+x)^1000
+# largest exponent span of a power or product in matrix text: expanding
+# (1+x)^n costs more than n^2, and (1+x)^2000 already takes about 8 times as
+# long as (1+x)^1000
 MAX_POWER_SPAN = 1000
 
 
-def _check_power_size(base: RationalFunction, n: int) -> None:
-    """Reject base^n before computing it when the result would be too large.
+def _check_size(op: str, factors: Sequence[tuple[LaurentPoly, int]]) -> None:
+    """Reject the product of f^k over ``factors`` before computing it when
+    the result would be too large; ``op`` names the expression in the error.
 
-    With c clearing the denominators of f, every coefficient of f^|n| is a
-    quotient of integers of at most max(||c f||_1, c)^|n|, and the exponents
-    of f^|n| span |n| times those of f; this holds for numerator and
-    denominator alike, so a monomial such as x^100000 stays legal.
+    With c clearing the denominators of f, every coefficient of f^k is a
+    quotient of integers of at most max(||c f||_1, c)^k, and these bounds
+    multiply over a product; the exponent spans k*span(f) add.  A monomial
+    factor only shifts and scales the others, so a product with one adds no
+    span: x^100000 and 7*(1+x^2000) stay legal.
     """
-    for f in (base.num, base.den):
-        if f.is_zero:
-            continue
+    factors = [(f, k) for f, k in factors if not f.is_zero]
+    room = float(MAX_DIGITS)
+    for f, k in factors:
         c = math.lcm(*(v.denominator for v in f.coeffs.values()))
         bound = max(sum(int(abs(v) * c) for v in f.coeffs.values()), c)
-        if bound > 1 and abs(n) > MAX_DIGITS / math.log10(bound):
-            raise ParseError(f"power ^{n}: coefficients would pass {MAX_DIGITS} digits")
-        support = f.support
-        if abs(n) * (support[-1] - support[0]) > MAX_POWER_SPAN:
-            raise ParseError(f"power ^{n}: exponents would span more than {MAX_POWER_SPAN}")
+        if bound > 1:
+            if k > room / math.log10(bound):
+                raise ParseError(f"{op}: coefficients would pass {MAX_DIGITS} digits")
+            room -= k * math.log10(bound)
+    if not any(f.is_monomial for f, _ in factors) and (
+        sum(k * (f.support[-1] - f.support[0]) for f, k in factors) > MAX_POWER_SPAN
+    ):
+        raise ParseError(f"{op}: exponents would span more than {MAX_POWER_SPAN}")
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\*\*|[-+*/^()]))")
@@ -635,6 +639,10 @@ class _Parser:
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             _, op = self.take()
             rhs = self.unary()
+            num, den = (rhs.num, rhs.den) if op == "*" else (rhs.den, rhs.num)
+            name = "product" if op == "*" else "quotient"
+            _check_size(name, [(out.num, 1), (num, 1)])
+            _check_size(name, [(out.den, 1), (den, 1)])
             out = out * rhs if op == "*" else out / rhs
         return out
 
@@ -651,7 +659,8 @@ class _Parser:
         if self.peek() == ("op", "^"):
             self.take()
             n = self.signed_int()
-            _check_power_size(base, n)
+            for f in (base.num, base.den):
+                _check_size(f"power ^{n}", [(f, abs(n))])
             return base**n
         return base
 

@@ -328,6 +328,8 @@ def case(config, argv, error_type, named, id):
              "4300 digits", "matrix-integer-power-past-digit-limit"),
         case(MODULE.replace("0, 1\n", "0, (1+x)^2000\n"), ["pullback"], "ParseError",
              "span more than 1000", "matrix-power-past-span-limit"),
+        case(MODULE.replace("0, 1\n", "0, (1+x)^1000*(1+x)^1000\n"), ["pullback", "--h", "1"],
+             "ParseError", "span more than 1000", "matrix-product-past-span-limit"),
         case(MODULE, ["nonsense"], "InputError", "nonsense", "unknown-command"),
         case(MODULE, [], "InputError", "command", "no-command"),
     ],

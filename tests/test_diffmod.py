@@ -181,7 +181,8 @@ den_factors = st.sampled_from(["x", "x^2", "1 + x", "3 - x^2", "2*x + 9", "1 + x
 
 @st.composite
 def small_modules(draw):
-    """Rank 1-2 modules; Q = 1 or non-monomial, entry (0, 0) forcing the latter."""
+    """Rank 1-2 modules; Q = 1 or non-monomial, entry (0, 0) forcing the latter.
+    Half are ramification pullbacks, whose exponents lie on a stride g >= p."""
     mu = draw(st.integers(1, 2))
     general = draw(st.booleans())
     pool = den_factors if general else st.sampled_from(["1", "x", "x^3"])
@@ -192,18 +193,27 @@ def small_modules(draw):
     if general:
         const = LaurentPoly.constant(draw(st.integers(1, 9)))
         rows[0][0] = RationalFunction(const, P("1 + 2*x").num)
-    return DiffModule(Prime(draw(st.sampled_from([2, 3, 5]))), RFMatrix(rows), I01), general
+    m = DiffModule(Prime(draw(st.sampled_from([2, 3, 5]))), RFMatrix(rows), I01)
+    return (frobenius_pullback(m, 1) if draw(st.booleans()) else m), general
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=small_modules())
-def test_term_matrix_matches_rfmatrix_recursion(case):
-    m, general = case
-    assert (gn_sequence(m, 0).Q == LaurentPoly.one()) != general
-    direct = RFMatrix.identity(m.rank)
-    for n in range(5):
-        assert gn_sequence(m, n).term_matrix() == direct
-        direct = (direct.derivative() + direct @ m.matrix).reduced()
+def test_term_matrix_matches_rfmatrix_recursion():
+    strides = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=small_modules())
+    def check(case):
+        m, general = case
+        state = gn_sequence(m, 0)
+        assert (state.Q == LaurentPoly.one()) != general
+        strides.append(state._g)
+        direct = RFMatrix.identity(m.rank)
+        for n in range(5):
+            assert gn_sequence(m, n).term_matrix() == direct
+            direct = (direct.derivative() + direct @ m.matrix).reduced()
+
+    check()
+    assert any(g > 1 for g in strides), strides
 
 
 def test_gn_invariant_p_over_q():
@@ -251,6 +261,27 @@ def deep_rank3_module():
     """The rank-3 companion module of the benchmark, denominator 1 + x."""
     rows = [["0", "1", "0"], ["0", "0", "1"], ["1/(1+x)", "x", "2/x"]]
     return DiffModule(Prime(3), RFMatrix.from_strings(rows), Interval(F(1, 2), 1))
+
+
+def sparse_module():
+    """The sparse module of the benchmark; its pullback at p = 7 has stride 7."""
+    return DiffModule(Prime(7), RFMatrix.from_strings([["0", "1"], ["1/x", "1+x"]]),
+                      Interval(F(-1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "module, stopped",
+    [
+        pytest.param(deep_rank3_module, "stopped at n=44: 20772 coefficients",
+                     id="deep-rank3"),
+        pytest.param(lambda: frobenius_pullback(sparse_module(), 1),
+                     "stopped at n=71: 20029 coefficients", id="pulled-sparse"),
+    ],
+)
+def test_budget_stops_at_the_same_step(module, stopped):
+    # the budget counts nonzero coefficients, not the zeros inside the dense lists
+    with pytest.raises(BudgetExceededError, match=stopped):
+        gn_sequence(module(), 500, budget=20_000)
 
 
 def test_state_holds_one_step_not_the_history():
@@ -330,6 +361,17 @@ def wide_state():
     return gn_sequence(m, 24), numerators
 
 
+@pytest.fixture(scope="module")
+def pulled_state():
+    """The pullback (p = 7, h = 1) of a sparse module: every exponent of S_n
+    lies in one class mod the stride g = 7.  Its state to depth 32, past the
+    word power 7^22 of ``min_valuation``, and the numerators P()."""
+    m = frobenius_pullback(sparse_module(), 1)
+    numerators = [gn_sequence(m, n).P() for n in range(33)]
+    assert m._state._g == 7
+    return gn_sequence(m, 32), numerators
+
+
 @given(
     rho=st.one_of(
         st.fractions(F(1, 2), 2, max_denominator=40),
@@ -337,11 +379,13 @@ def wide_state():
     ),
     include_factorial=st.booleans(),
 )
-def test_log_norms_match_brute_force_gauss_norms(wide_state, rho, include_factorial):
-    state, numerators = wide_state
-    assert state.log_norms(rho, 24, include_factorial) == brute_force_log_norms(
-        state, numerators, rho, include_factorial
-    )
+def test_log_norms_match_brute_force_gauss_norms(wide_state, pulled_state, rho, include_factorial):
+    # the pulled state at rho - 5/4, in (-3/4, 3/4): both ends of its hulls
+    for (state, numerators), r in ((wide_state, rho), (pulled_state, rho - F(5, 4))):
+        depth = len(numerators) - 1
+        assert state.log_norms(r, depth, include_factorial) == brute_force_log_norms(
+            state, numerators, r, include_factorial
+        )
 
 
 def brute_force_log_norms(state, numerators, rho, include_factorial):

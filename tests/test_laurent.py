@@ -333,11 +333,20 @@ def test_power_size_is_predicted_before_expanding():
     assert P("x^100000") == RationalFunction(LaurentPoly.x(100000))
     assert P("(x/2)**-100") == RationalFunction(LaurentPoly.x(-100, 2**100))
     assert P("(1+x)^1000").num.coeff(500) == math.comb(1000, 500)
+    # products are sized alike, and a monomial or constant factor adds no span
+    assert P("7*x^13") == RationalFunction(LaurentPoly({13: 7}))
+    assert P("x^3000*(1+x)") == RationalFunction(LaurentPoly({3000: 1, 3001: 1}))
+    assert P("7*(1+x^2000)") == RationalFunction(LaurentPoly({0: 7, 2000: 7}))
+    assert P("(1+x)^600*(1+x)^400").num.coeff(500) == math.comb(1000, 500)
     for bad, named in (
         ("(1/3)^10000", "4300 digits"),
         ("(1+x)^1001", "span more than 1000"),
         ("((1+x)^10)^101", "span more than 1000"),
         ("1/(x^2+2)^-501", "span more than 1000"),
+        ("(1+x)^1000*(1+x)^1000", "product: exponents would span more than 1000"),
+        ("(1+x)^1000/(1/(1+x)^1000)", "quotient: exponents would span more than 1000"),
+        ("(1+x^600)*(1+x^401)", "product: exponents would span more than 1000"),
+        ("(10^1000)^4*10^1000", "product: coefficients would pass 4300 digits"),
     ):
         with pytest.raises(ParseError, match=named):
             parse_rational_function(bad)
