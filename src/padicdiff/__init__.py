@@ -32,7 +32,6 @@ from .diagnostics import (
 )
 from .diffmod import (
     DiffModule,
-    NormSequence,
     RecursionState,
     RFMatrix,
     companion_of,

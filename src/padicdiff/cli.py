@@ -66,7 +66,16 @@ from .diagnostics import (
 )
 from .diffmod import DiffModule, RFMatrix, frobenius_pullback, norm_sequence
 from .errors import BudgetExceededError, InputError, PadicDiffError, ParseError
-from .jsonutil import SCHEMA_VERSION, estimate_json, fmt_float, frac_str, frobenius_json, polygon_json
+from .jsonutil import (
+    SCHEMA_VERSION,
+    bounded_json,
+    estimate_json,
+    fmt_float,
+    frac_str,
+    frobenius_json,
+    polygon_json,
+    theorem_json,
+)
 from .laurent import poly_to_str, rf_to_str
 from .plot import polygon_svg, sequence_svg
 from .radius import (
@@ -254,7 +263,9 @@ def _merge_config(args, module: DiffModule, run: dict) -> argparse.Namespace:
     return argparse.Namespace(module=module, normalized=not args.unnormalized, **values)
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, kind: str, fields: dict) -> None:
+    """Write one report: the envelope (schema version, kind), then its fields."""
+    payload = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
     _write(args.json, json.dumps(payload, indent=2) + "\n")
 
 
@@ -283,7 +294,7 @@ def _cmd_norms(args, cfg: argparse.Namespace) -> int:
         cfg.module, rho, cfg.depth, include_factorial=cfg.normalized
     )
     lines = ["n,value,exact"]
-    for n, v in enumerate(seq.values):
+    for n, v in enumerate(seq):
         if v is None:
             lines.append(f"{n},,")
         else:
@@ -300,16 +311,13 @@ def _cmd_radius(args, cfg: argparse.Namespace) -> int:
         )
         for r in rhos
     ]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "radius",
+    _emit(args, "radius", {
         "p": cfg.module.p.p,
         "depth": cfg.depth,
         "mode": cfg.mode,
         "normalized": cfg.normalized,
         "points": [estimate_json(e) for e in ests],
-    }
-    _emit(args, payload)
+    })
     return 0
 
 
@@ -321,15 +329,12 @@ def _cmd_polygon(args, cfg: argparse.Namespace) -> int:
         max_denominator=cfg.max_denominator,
         mode=cfg.mode,
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "polygon",
+    _emit(args, "polygon", {
         "p": cfg.module.p.p,
         "depth": cfg.depth,
         "mode": cfg.mode,
         **polygon_json(poly),
-    }
-    _emit(args, payload)
+    })
     if args.svg:
         _write(args.svg, polygon_svg(poly))
     return 0
@@ -342,13 +347,7 @@ def _cmd_bounded(args, cfg: argparse.Namespace) -> int:
     else:
         log_r = radius_estimate(cfg.module, rho, cfg.depth).tail_min
     report = bounded_report(cfg.module, rho, cfg.depth, log_r, cfg.tolerance)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "bounded",
-        "p": cfg.module.p.p,
-        **report.to_json_dict(),
-    }
-    _emit(args, payload)
+    _emit(args, "bounded", {"p": cfg.module.p.p, **bounded_json(report)})
     if args.svg:
         _write(args.svg, sequence_svg(report.values))
     return 2 if report.classification == INCONCLUSIVE else 0
@@ -363,14 +362,7 @@ def _cmd_theorem(args, cfg: argparse.Namespace) -> int:
         max_denominator=cfg.max_denominator,
         mode=cfg.mode,
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "theorem",
-        "p": cfg.module.p.p,
-        "depth": cfg.depth,
-        **report.to_json_dict(),
-    }
-    _emit(args, payload)
+    _emit(args, "theorem", {"p": cfg.module.p.p, "depth": cfg.depth, **theorem_json(report)})
     if args.svg:
         _write(args.svg, polygon_svg(report.polygon))
     return 2 if report.verdict == VERDICT_UNCLEAR else 0
@@ -380,20 +372,13 @@ def _cmd_frobenius(args, cfg: argparse.Namespace) -> int:
     report = frobenius_radius_check(
         cfg.module, h=cfg.h, grid=cfg.grid, depth=cfg.depth, tol=cfg.tolerance
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "frobenius",
-        **frobenius_json(report),
-    }
-    _emit(args, payload)
+    _emit(args, "frobenius", frobenius_json(report))
     return 0 if report.passed else 2
 
 
 def _cmd_cyclic(args, cfg: argparse.Namespace) -> int:
     red = cyclic_vector(cfg.module, seed=cfg.seed)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "cyclic",
+    _emit(args, "cyclic", {
         "p": cfg.module.p.p,
         "order": red.operator.order,
         "q": [rf_to_str(qi, cfg.module.var) for qi in red.operator.coeffs],
@@ -401,8 +386,7 @@ def _cmd_cyclic(args, cfg: argparse.Namespace) -> int:
         "vector": [poly_to_str(c, cfg.module.var) for c in red.vector],
         "valid_intervals": [[frac_str(j.lo), frac_str(j.hi)] for j in red.valid],
         "attempts": red.attempts,
-    }
-    _emit(args, payload)
+    })
     return 0
 
 
@@ -454,12 +438,7 @@ def _cmd_catalog(args, cfg=None) -> int:
             info["expected_boundedness"] = entry.expected_boundedness
             info["provenance"] = entry.provenance
         entries.append(info)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "catalog",
-        "entries": entries,
-    }
-    _emit(args, payload)
+    _emit(args, "catalog", {"entries": entries})
     return 0
 
 

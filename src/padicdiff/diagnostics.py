@@ -28,9 +28,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .arith import Rational
-from .diffmod import DiffModule
+from .diffmod import DiffModule, gn_sequence
 from .errors import DomainError, InputError
-from .jsonutil import fmt_float, frac_str, polygon_json
 from .radius import (
     EXACT,
     ConvergencePolygon,
@@ -39,6 +38,7 @@ from .radius import (
     least_squares_line,
     one_slope,
     polygon_estimate,
+    tail_window,
 )
 
 __all__ = [
@@ -89,45 +89,15 @@ class BoundednessReport:
     fit_residual: float
     classification: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rho": frac_str(self.rho),
-            "depth": self.depth,
-            "log_r": frac_str(self.log_r),
-            "log_r_float": fmt_float(self.log_r),
-            "tolerance": self.tolerance,
-            "max_value": frac_str(self.max_value),
-            "max_value_float": fmt_float(self.max_value),
-            "argmax": self.argmax,
-            "tail_slope": fmt_float(self.tail_slope),
-            "fit_residual": fmt_float(self.fit_residual),
-            "classification": self.classification,
-            "b": [
-                {
-                    "n": n,
-                    "value": None if v is None else fmt_float(v),
-                    "exact": None if v is None else frac_str(v),
-                }
-                for n, v in enumerate(self.values)
-            ],
-        }
 
-
-def _classify(
-    tail_slope: float,
-    fit_residual: float,
-    max_value: Fraction,
-    tol: float,
-    noise_threshold: float = NOISE_RMS_THRESHOLD,
-    plateau_guard: float = PLATEAU_GUARD,
-) -> str:
-    if fit_residual > noise_threshold:
+def _classify(tail_slope: float, fit_residual: float, max_value: Fraction, tol: float) -> str:
+    if fit_residual > NOISE_RMS_THRESHOLD:
         return INCONCLUSIVE
     if tail_slope < -tol:
         return BOUNDED_DECAYING
     if tail_slope > tol:
         return SUSPECTED_UNBOUNDED
-    if float(max_value) >= plateau_guard:
+    if float(max_value) >= PLATEAU_GUARD:
         return SUSPECTED_UNBOUNDED
     return BOUNDED_PLATEAU
 
@@ -142,9 +112,9 @@ def bounded_report(
     """Classify the boundedness trend of the solution matrix at rho.
 
     rho must lie in the open module interval and ``log_r`` must not exceed
-    rho (the radius cap).  The tail window is [depth/2, depth]; None entries
-    (zero matrices) are skipped by the fit, and a window of Nones is a
-    plateau at the running maximum.
+    rho (the radius cap).  The fit reads ``radius.tail_window``, which skips
+    None entries (zero matrices); a window of Nones is a plateau at the
+    running maximum.
     """
     rho = Fraction(rho)
     if not module.interval.contains(rho):
@@ -155,7 +125,7 @@ def bounded_report(
     if mult > rho:
         raise InputError(f"log_r={log_r} exceeds the cap rho={rho}")
     log_r_value: Union[Fraction, float] = log_r if isinstance(log_r, float) else mult
-    norms = module.taylor_state(depth).log_norms(rho, depth)
+    norms = gn_sequence(module, depth).log_norms(rho, depth)
 
     values: list[Optional[Fraction]] = []
     for n, v in enumerate(norms):
@@ -163,7 +133,7 @@ def bounded_report(
 
     finite = [(n, v) for n, v in enumerate(values) if v is not None]
     max_value, argmax = max(((v, n) for n, v in finite), key=lambda t: t[0])
-    window = [(float(n), float(v)) for n, v in finite if n >= depth // 2 and n > 0]
+    window = [(float(n), float(v)) for n, v in tail_window(values, depth)]
     if len(window) >= 2:
         tail_slope, _, fit_residual = least_squares_line(window)
     else:
@@ -193,20 +163,6 @@ class TheoremReport:
     non_robba: NonRobbaResult
     reports: tuple[BoundednessReport, ...]
     verdict: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "polygon": polygon_json(self.polygon),
-            "one_slope": self.one_slope,
-            "non_robba": {
-                "flag": self.non_robba.non_robba,
-                "margin": frac_str(self.non_robba.margin),
-                "margin_float": fmt_float(self.non_robba.margin),
-                "witness": frac_str(self.non_robba.witness),
-            },
-            "reports": [r.to_json_dict() for r in self.reports],
-            "verdict": self.verdict,
-        }
 
 
 def theorem_check(

@@ -52,7 +52,6 @@ __all__ = [
     "RFMatrix",
     "DiffModule",
     "RecursionState",
-    "NormSequence",
     "gauge_transform",
     "gn_sequence",
     "norm_sequence",
@@ -139,16 +138,6 @@ class RFMatrix:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
-    def __sub__(self, other: "RFMatrix") -> "RFMatrix":
-        if self.shape != other.shape:
-            raise InputError("shape mismatch")
-        return RFMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self) -> "RFMatrix":
-        return RFMatrix([[-a for a in row] for row in self.rows])
-
     def __matmul__(self, other: "RFMatrix") -> "RFMatrix":
         n, k = self.shape
         k2, m = other.shape
@@ -164,10 +153,6 @@ class RFMatrix:
                 row.append(acc)
             out.append(row)
         return RFMatrix(out)
-
-    def scaled(self, c: Union[RationalFunction, Rational]) -> "RFMatrix":
-        c = _as_rf(c)
-        return RFMatrix([[a * c for a in row] for row in self.rows])
 
     def derivative(self) -> "RFMatrix":
         return RFMatrix([[a.derivative() for a in row] for row in self.rows])
@@ -264,16 +249,6 @@ class DiffModule:
         if bad:
             raise InputError(f"matrix entries with poles on the annulus: {bad}")
         return self
-
-    def taylor_state(self, depth: int, budget: int = DEFAULT_COEFF_BUDGET) -> "RecursionState":
-        """The module's one recursion state, cached and grown on demand under
-        this call's coefficient budget."""
-        if self._state is None:
-            self._state = RecursionState(self, depth, budget)
-        else:
-            self._state.budget = budget
-            self._state.extend(depth)
-        return self._state
 
 
 def _int_terms(f: LaurentPoly) -> list[tuple[int, int]]:
@@ -534,21 +509,6 @@ def _hull_of(rows, g: int, p: Prime) -> list[tuple[int, int]]:
     return upper_hull(left + right[::-1])
 
 
-@dataclass(frozen=True)
-class NormSequence:
-    """log_p ||G_n / n!|| at a fixed log-radius; None entries mark zero matrices."""
-
-    rho: Fraction
-    values: tuple[Optional[Fraction], ...]
-    include_factorial: bool = True
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int) -> Optional[Fraction]:
-        return self.values[n]
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -572,10 +532,17 @@ def gn_sequence(
     depth: int = DEFAULT_DEPTH,
     budget: int = DEFAULT_COEFF_BUDGET,
 ) -> RecursionState:
-    """Taylor recursion state to the requested depth (shared and reusable)."""
+    """The module's one Taylor recursion state, cached on the module and grown
+    to ``depth`` under this call's coefficient budget."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
-    return module.taylor_state(depth, budget)
+    state = module._state
+    if state is None:
+        state = module._state = RecursionState(module, depth, budget)
+    else:
+        state.budget = budget
+        state.extend(depth)
+    return state
 
 
 def norm_sequence(
@@ -583,16 +550,15 @@ def norm_sequence(
     rho: Rational,
     depth: int = DEFAULT_DEPTH,
     include_factorial: bool = True,
-) -> NormSequence:
-    """Sequence log_p ||G_n / n!|| at rho for n = 0..depth.
+) -> tuple[Optional[Fraction], ...]:
+    """log_p ||G_n / n!|| at rho for n = 0..depth; None marks a zero matrix.
 
     rho must lie in the closure of the module interval.
     """
     rho = Fraction(rho)
     if not module.interval.contains(rho, closed=True):
         raise DomainError(f"rho={rho} outside the closed interval {module.interval}")
-    vals = module.taylor_state(depth).log_norms(rho, depth, include_factorial)
-    return NormSequence(rho, tuple(vals), include_factorial)
+    return tuple(gn_sequence(module, depth).log_norms(rho, depth, include_factorial))
 
 
 def frobenius_pullback(module: DiffModule, h: int = 1) -> DiffModule:

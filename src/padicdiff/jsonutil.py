@@ -1,5 +1,6 @@
-"""Serialization helpers: exact rationals as "num/den" strings, floats at
-fixed precision so identical runs emit byte-identical reports."""
+"""Report serialization: every report's JSON fields, with exact rationals as
+"num/den" strings and floats at fixed precision, so identical runs emit
+byte-identical reports.  ``cli`` wraps the fields in the report envelope."""
 
 from __future__ import annotations
 
@@ -95,4 +96,43 @@ def frobenius_json(report) -> dict:
             }
             for pt in report.points
         ],
+    }
+
+
+def bounded_json(report) -> dict:
+    return {
+        "rho": frac_str(report.rho),
+        "depth": report.depth,
+        "log_r": frac_str(report.log_r),
+        "log_r_float": fmt_float(report.log_r),
+        "tolerance": report.tolerance,
+        "max_value": frac_str(report.max_value),
+        "max_value_float": fmt_float(report.max_value),
+        "argmax": report.argmax,
+        "tail_slope": fmt_float(report.tail_slope),
+        "fit_residual": fmt_float(report.fit_residual),
+        "classification": report.classification,
+        "b": [
+            {
+                "n": n,
+                "value": None if v is None else fmt_float(v),
+                "exact": None if v is None else frac_str(v),
+            }
+            for n, v in enumerate(report.values)
+        ],
+    }
+
+
+def theorem_json(report) -> dict:
+    return {
+        "polygon": polygon_json(report.polygon),
+        "one_slope": report.one_slope,
+        "non_robba": {
+            "flag": report.non_robba.non_robba,
+            "margin": frac_str(report.non_robba.margin),
+            "margin_float": fmt_float(report.non_robba.margin),
+            "witness": frac_str(report.non_robba.witness),
+        },
+        "reports": [bounded_json(r) for r in report.reports],
+        "verdict": report.verdict,
     }

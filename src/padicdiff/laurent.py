@@ -353,10 +353,6 @@ class RationalFunction:
     def constant(value: Rational) -> "RationalFunction":
         return RationalFunction(LaurentPoly.constant(value))
 
-    @staticmethod
-    def from_string(text: str, var: str = "x") -> "RationalFunction":
-        return parse_rational_function(text, var)
-
     # -- structure ---------------------------------------------------------
 
     @property

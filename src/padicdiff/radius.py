@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .arith import MAX_DIGITS, Interval, Rational, upper_hull
-from .diffmod import DiffModule, frobenius_pullback
+from .diffmod import DiffModule, frobenius_pullback, gn_sequence
 from .errors import DomainError, HypothesisViolationError, InputError
 
 __all__ = [
@@ -40,12 +40,14 @@ __all__ = [
     "one_slope",
     "frobenius_radius_check",
     "least_squares_line",
+    "tail_window",
 ]
 
 TAIL_MIN = "tail-min"
 TAIL_SLOPE = "tail-slope"
 EXACT = "exact"
 FLOAT = "float"
+QUALITY_TOL = 0.05
 
 
 def least_squares_line(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
@@ -66,6 +68,12 @@ def least_squares_line(points: Sequence[tuple[float, float]]) -> tuple[float, fl
     intercept = (sy - slope * sx) / m
     rss = sum((y - slope * x - intercept) ** 2 for x, y in points)
     return slope, intercept, (rss / m) ** 0.5
+
+
+def tail_window(values: Sequence[Optional[Fraction]], depth: int) -> list[tuple[int, Fraction]]:
+    """(n, b_n) for n in the tail window [depth/2, depth], n >= 1, skipping
+    None (zero matrices): early terms are pre-asymptotic."""
+    return [(n, values[n]) for n in range(max(depth // 2, 1), depth + 1) if values[n] is not None]
 
 
 @dataclass(frozen=True)
@@ -100,9 +108,8 @@ def radius_estimate(
 ) -> RadiusEstimate:
     """Estimate log_p R(module, rho) from the norm-sequence tail.
 
-    The tail window is [depth/2, depth]: early terms are pre-asymptotic.
-    ``include_factorial=False`` switches to the un-normalized variant built
-    on ||G_n|| alone.
+    Both estimators read ``tail_window``.  ``include_factorial=False``
+    switches to the un-normalized variant built on ||G_n|| alone.
     """
     rho = Fraction(rho)
     if depth < 16:
@@ -116,10 +123,8 @@ def radius_estimate(
     if mode == EXACT and method == TAIL_SLOPE:
         raise InputError("exact mode reports tail-min only")
 
-    values = module.taylor_state(depth).log_norms(rho, depth, include_factorial)
-    window = [
-        (n, values[n]) for n in range(depth // 2, depth + 1) if values[n] is not None and n > 0
-    ]
+    values = gn_sequence(module, depth).log_norms(rho, depth, include_factorial)
+    window = tail_window(values, depth)
 
     if not window:
         # all tail matrices vanish: the solutions are polynomial, cap binds
@@ -203,7 +208,6 @@ def polygon_estimate(
     depth: int = 256,
     max_denominator: int = 32,
     mode: str = EXACT,
-    quality_tol: float = 0.05,
 ) -> ConvergencePolygon:
     """Fit the convergence polygon from grid samples of radius_estimate.
 
@@ -211,7 +215,7 @@ def polygon_estimate(
     denominator <= max_denominator (continued-fraction convergents), equal
     snapped slopes are merged, intercepts are refit as the median of
     (sample - slope*rho) over each merged span and snapped the same way.
-    Non-concave samples beyond quality_tol raise no error; they set the
+    Non-concave samples beyond QUALITY_TOL raise no error; they set the
     ``quality_warning`` flag.
     """
     if grid < 3:
@@ -221,20 +225,15 @@ def polygon_estimate(
     samples = tuple(radius_estimate(module, r, depth, TAIL_MIN, mode) for r in rhos)
     points = [(s.rho, Fraction(s.log_r)) for s in samples]
 
+    # each hull piece, its samples, and how far they fall below it
     hull = upper_hull(points)
     quality = 0.0
-    for k in range(len(hull) - 1):
-        (x1, y1), (x2, y2) = hull[k], hull[k + 1]
-        for x, y in points:
-            if x1 <= x <= x2:
-                gap = y1 + (y2 - y1) * (x - x1) / (x2 - x1) - y
-                quality = max(quality, float(gap))
-
     raw_pieces = []
-    for k in range(len(hull) - 1):
-        (x1, y1), (x2, y2) = hull[k], hull[k + 1]
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slope = (y2 - y1) / (x2 - x1)
         members = [pt for pt in points if x1 <= pt[0] <= x2]
+        for x, y in members:
+            quality = max(quality, float(y1 + slope * (x - x1) - y))
         raw_pieces.append((slope, members))
 
     # an interior hull piece spanning a single grid gap (both members shared
@@ -268,51 +267,39 @@ def polygon_estimate(
         intercept = raw_intercept.limit_denominator(max_denominator)
         lines.append((slope, intercept, raw_slope, raw_intercept))
 
-    # the polygon is the pointwise min of its lines; rebuild the partition
-    # from consecutive intersections, dropping lines whose active span
-    # collapsed after snapping (lower-envelope sweep, slopes decreasing)
-    by_slope: dict[Fraction, tuple] = {}
-    for line in lines:
-        cur = by_slope.get(line[0])
-        if cur is None or line[1] < cur[1]:
-            by_slope[line[0]] = line
-    ordered = [by_slope[s] for s in sorted(by_slope, reverse=True)]
-    kept: list[tuple[Fraction, Fraction, Fraction, Fraction]] = []
-    for line in ordered:
-        while kept:
-            cut = _cut(kept[-1], line)
-            prev_lo = interval.lo if len(kept) == 1 else _cut(kept[-2], kept[-1])
-            if cut <= prev_lo:
-                kept.pop()
-            else:
-                break
-        kept.append(line)
-    while len(kept) >= 2 and _cut(kept[-2], kept[-1]) >= interval.hi:
-        kept.pop()
-
-    segments = []
-    lo = interval.lo
-    for idx, line in enumerate(kept):
-        hi = interval.hi if idx == len(kept) - 1 else _cut(line, kept[idx + 1])
-        segments.append(
-            PolygonSegment(
-                lo=lo,
-                hi=hi,
-                slope=line[0],
-                intercept=line[1],
-                raw_slope=line[2],
-                raw_intercept=line[3],
-            )
-        )
-        lo = hi
+    # the polygon is the pointwise min of its lines (their slopes strictly
+    # decrease); snapping can push a line off it, so rebuild the partition
+    segments = tuple(
+        PolygonSegment(lo, hi, *line) for lo, hi, line in _lower_envelope(lines, interval)
+    )
 
     return ConvergencePolygon(
         interval=interval,
-        segments=tuple(segments),
+        segments=segments,
         samples=samples,
         quality=quality,
-        quality_warning=quality > quality_tol,
+        quality_warning=quality > QUALITY_TOL,
     )
+
+
+def _lower_envelope(lines: Sequence[tuple], interval: Interval) -> list[tuple]:
+    """Pieces (lo, hi, line) of the pointwise min of the lines on the
+    interval, left to right.
+
+    ``lines`` are (slope, intercept, ...) tuples in strictly decreasing slope
+    order.  The lines on the min over all rho are, by duality, the vertices
+    of the upper hull of the points (slope, -intercept); a line that meets the
+    min at one point only is not a vertex.  Lines whose piece ends at or
+    before ``interval.lo``, or starts at or after ``interval.hi``, are
+    dropped."""
+    on_min = {s for s, _ in upper_hull((line[0], -line[1]) for line in reversed(lines))}
+    kept = [line for line in lines if line[0] in on_min]
+    while len(kept) >= 2 and _cut(kept[0], kept[1]) <= interval.lo:
+        del kept[0]
+    while len(kept) >= 2 and _cut(kept[-2], kept[-1]) >= interval.hi:
+        kept.pop()
+    cuts = [_cut(a, b) for a, b in zip(kept, kept[1:])]
+    return list(zip([interval.lo, *cuts], [*cuts, interval.hi], kept))
 
 
 def _cut(a, b) -> Fraction:

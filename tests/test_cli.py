@@ -208,6 +208,33 @@ def test_determinism_byte_identical(tmp_path, config_file, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+_EXP = ["--catalog", "exp", "--p", "2", "--alpha", "1", "--depth", "32", "--grid", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["radius", *_EXP, "--interval", "1, 4", "--rho", "1"],
+        ["polygon", *_EXP, "--interval", "1, 4"],
+        ["bounded", *_EXP, "--interval", "1, 4", "--rho", "1", "--log-r", "0"],
+        ["theorem", *_EXP, "--interval", "1, 4"],
+        ["frobenius", "--catalog", "exp", "--p", "2", "--alpha", "1",
+         "--log-interval", "-2, 2", "--h", "1", "--grid", "5", "--depth", "64"],
+        ["cyclic", *_EXP, "--interval", "1, 4"],
+        ["catalog"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_report_envelope_comes_first(capsys, argv):
+    # reports are byte-identical only while the key order is
+    code, doc, err = run_json(capsys, argv)
+    assert code in (0, 2), err
+    assert list(doc)[:2] == ["schema_version", "kind"]
+    assert doc["kind"] == argv[0]
+    if argv[0] == "catalog":
+        assert list(doc) == ["schema_version", "kind", "entries"]
+
+
 def test_budget_exit_code(monkeypatch, capsys):
     def boom(args, cfg):
         raise BudgetExceededError("too big")

@@ -15,6 +15,7 @@ from padicdiff.diagnostics import (
     theorem_check,
 )
 from padicdiff.errors import DomainError, InputError
+from padicdiff.jsonutil import bounded_json, theorem_json
 
 
 def s2(n):
@@ -92,7 +93,7 @@ def test_decaying_classification():
 def test_bounded_report_json_shape():
     m = exp_module(Interval(-1, 1))
     rep = bounded_report(m, 0, 32, log_r=F(-1))
-    doc = rep.to_json_dict()
+    doc = bounded_json(rep)
     text = json.dumps(doc)  # must be serializable
     assert json.loads(text)["classification"] == rep.classification
     assert doc["b"][0] == {"n": 0, "value": 0.0, "exact": "0"}
@@ -154,7 +155,7 @@ def test_theorem_numerically_unclear():
 def test_theorem_json_round_trip():
     m = exp_module(Interval(0, 2))
     rep = theorem_check(m, grid=5, depth=64)
-    doc = rep.to_json_dict()
+    doc = theorem_json(rep)
     parsed = json.loads(json.dumps(doc))
     assert parsed["verdict"] == rep.verdict
     assert len(parsed["reports"]) == 5

@@ -314,7 +314,7 @@ def test_extending_in_two_calls_matches_one_call():
 def test_norm_sequence_zero_module():
     seq = norm_sequence(scalar_module("0"), 0, 8)
     assert seq[0] == 0
-    assert all(v is None for v in seq.values[1:])
+    assert all(v is None for v in seq[1:])
 
 
 def test_norm_sequence_entry0_always_zero():
@@ -348,7 +348,7 @@ def test_norm_sequence_respects_interval_closure():
 
 def test_norm_sequence_unnormalized_flag():
     seq = norm_sequence(scalar_module("1"), 0, 8, include_factorial=False)
-    assert all(v == 0 for v in seq.values)
+    assert all(v == 0 for v in seq)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from padicdiff.arith import Interval, Prime
 from padicdiff.catalog import catalog_get
@@ -19,6 +20,7 @@ from padicdiff.radius import (
     polygon_estimate,
     radius_estimate,
 )
+from padicdiff.radius import _lower_envelope
 
 P2 = Prime(2)
 
@@ -160,6 +162,40 @@ def test_polygon_value_is_min_of_lines():
     assert poly.value(-2) == -2
     assert poly.value(0) == -1
     assert poly.value(F(-3, 2)) == F(-3, 2)
+
+
+small_fractions = st.fractions(-6, 6, max_denominator=4)
+
+
+@st.composite
+def lines_and_interval(draw):
+    """1-8 lines (slope, intercept) with distinct slopes, in decreasing slope
+    order, and an interval; small denominators make ties common."""
+    slopes = draw(st.lists(small_fractions, min_size=1, max_size=8, unique=True))
+    lines = [(s, draw(small_fractions)) for s in sorted(slopes, reverse=True)]
+    lo, hi = sorted(draw(st.lists(small_fractions, min_size=2, max_size=2, unique=True)))
+    return lines, Interval(lo, hi)
+
+
+# three lines through one point: the middle one meets the min only there
+@example(([(F(1), F(0)), (F(0), F(0)), (F(-1), F(0))], Interval(-1, 1)))
+# the first line's piece ends exactly at the interval's lower end
+@example(([(F(1), F(0)), (F(0), F(-1))], Interval(-1, 1)))
+# the last line's piece starts exactly at the interval's upper end
+@example(([(F(0), F(1)), (F(-1), F(2))], Interval(-1, 1)))
+@given(lines_and_interval())
+def test_lower_envelope_equals_the_brute_force_min(case):
+    lines, interval = case
+    pieces = _lower_envelope(lines, interval)
+    assert pieces[0][0] == interval.lo and pieces[-1][1] == interval.hi
+    slopes = [line[0] for _, _, line in pieces]
+    assert all(s > t for s, t in zip(slopes, slopes[1:]))
+    for left, right in zip(pieces, pieces[1:]):
+        assert left[1] == right[0]
+    for lo, hi, (slope, intercept) in pieces:
+        assert lo < hi
+        for x in (lo, (lo + hi) / 2, hi):
+            assert slope * x + intercept == min(s * x + c for s, c in lines)
 
 
 # -- gauge invariance -----------------------------------------------------------
