@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError
@@ -109,7 +109,15 @@ class Prime:
 
 
 def as_prime(p: Union[int, Prime]) -> Prime:
-    return p if isinstance(p, Prime) else Prime(int(p))
+    """p as a ``Prime``.  Ints share one instance per prime, so the primality
+    test and the word-power table of ``padic_valuation`` and
+    ``min_valuation`` run once per prime, not once per call."""
+    return p if isinstance(p, Prime) else _shared_prime(int(p))
+
+
+@lru_cache(maxsize=64)
+def _shared_prime(p: int) -> Prime:
+    return Prime(p)
 
 
 @total_ordering
@@ -179,18 +187,21 @@ BOTTOM = LogMag(None)
 def padic_valuation(n: int, p: Union[int, Prime]) -> int:
     """v_p(n) for a nonzero integer n.
 
-    Recursion coefficients carry valuations in the hundreds, so p is stripped
-    in doubling chunks p, p^2, p^4, ... and the ladder is then walked back
-    down, rather than one factor at a time.
+    Recursion coefficients carry valuations in the hundreds, so for odd p the
+    word power W = p^k is stripped in doubling chunks W, W^2, W^4, ... and
+    the ladder is then walked back down, rather than one factor at a time;
+    what is left has v < k, read off as gcd(W, n) in the table of W's
+    divisors.  For p = 2 the valuation is the lowest set bit.
     """
     if n == 0:
         raise InputError("valuation of 0 is undefined; use log_abs, which returns bottom")
-    q = as_prime(p).p
-    if q == 2:
+    q = as_prime(p)
+    if q.p == 2:
         return (n & -n).bit_length() - 1
+    w, table = q._word_power
     v = 0
     ladder = []
-    power, step = q, 1
+    power, step = w, table[w]
     while True:
         quo, rem = divmod(n, power)
         if rem:
@@ -204,7 +215,7 @@ def padic_valuation(n: int, p: Union[int, Prime]) -> int:
         if not rem:
             n = quo
             v += step
-    return v
+    return v + table[math.gcd(w, n)]
 
 
 def min_valuation(values: Sequence[int], p: Union[int, Prime]) -> int:
@@ -231,7 +242,7 @@ def log_abs(a: Rational, p: Union[int, Prime]) -> LogMag:
     a = Fraction(a)
     if a == 0:
         return BOTTOM
-    q = as_prime(p).p
+    q = as_prime(p)
     return LogMag(Fraction(padic_valuation(a.denominator, q) - padic_valuation(a.numerator, q)))
 
 

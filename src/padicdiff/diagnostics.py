@@ -23,6 +23,7 @@ per-point estimates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -125,15 +126,17 @@ def bounded_report(
     if mult > rho:
         raise InputError(f"log_r={log_r} exceeds the cap rho={rho}")
     log_r_value: Union[Fraction, float] = log_r if isinstance(log_r, float) else mult
-    norms = gn_sequence(module, depth).log_norms(rho, depth)
+    nums, den = gn_sequence(module, depth).log_norms(rho, depth)
 
-    values: list[Optional[Fraction]] = []
-    for n, v in enumerate(norms):
-        values.append(None if v is None else v + n * mult)
-
-    finite = [(n, v) for n, v in enumerate(values) if v is not None]
-    max_value, argmax = max(((v, n) for n, v in finite), key=lambda t: t[0])
-    window = [(float(n), float(v)) for n, v in tail_window(values, depth)]
+    # b_n + n*log_r as numerators over one denominator, then one Fraction
+    # per reported value; max and fit read the numerators
+    common = math.lcm(den, mult.denominator)
+    scale, step = common // den, mult.numerator * (common // mult.denominator)
+    shifted = [None if v is None else v * scale + n * step for n, v in enumerate(nums)]
+    values = tuple(None if v is None else Fraction(v, common) for v in shifted)
+    argmax = max((n for n, v in enumerate(shifted) if v is not None), key=shifted.__getitem__)
+    max_value = values[argmax]
+    window = [(float(n), v / common) for n, v in tail_window(shifted, depth)]
     if len(window) >= 2:
         tail_slope, _, fit_residual = least_squares_line(window)
     else:
@@ -145,7 +148,7 @@ def bounded_report(
         depth=depth,
         log_r=log_r_value,
         tolerance=tol,
-        values=tuple(values),
+        values=values,
         max_value=max_value,
         argmax=argmax,
         tail_slope=tail_slope,

@@ -32,7 +32,7 @@ from .arith import (
     Prime,
     Rational,
     as_prime,
-    factorial_log_abs,
+    digit_sum,
     min_valuation,
     padic_valuation,
     upper_hull,
@@ -303,15 +303,19 @@ class RecursionState:
     aligned walk over the mu^2 zero-padded lists, one ``arith.min_valuation``
     gcd per exponent, from both ends inwards to the first exponent of
     valuation 0 (``_hull_of``); every norm query reads every n <= depth
-    anyway.  Hulls are evaluated in integers; log_p |n!| comes from a table
-    grown with the recursion.  The state keeps the module's prime and rank,
-    not the module, so a module that caches its state is freed by reference
-    counting alone.
+    anyway.  A query at rho is integer work: ``log_norms`` returns one
+    numerator per n over a single denominator, and log_p |n!| =
+    -(n - s_p(n))/(p - 1) comes from an int table of n - s_p(n) grown with
+    the recursion.  The state keeps the module's prime and rank, not the
+    module, so a module that caches its state is freed by reference counting
+    alone.
 
     ``perfbench/tracer.py`` reads two private fields: ``_S``, a one-slot list
     whose ``_S[-1]`` holds S_n as rows of entries with a ``values()`` method,
     and ``_coeff_count``, the number of nonzero coefficients computed so far,
-    which is also what ``budget`` bounds.
+    which is also what ``budget`` bounds.  It also wraps ``log_norms`` and
+    reads its depth as the third positional argument, so every norm query,
+    ``norm_sequence`` included, is one call of that method.
     """
 
     def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
@@ -365,7 +369,7 @@ class RecursionState:
         self._S: list[tuple[tuple[_Coeffs, ...], ...]] = [ident]
         self._coeff_count = mu
         self._hulls: list[list[tuple[int, int]]] = [[(0, 0)]]
-        self._factorial_logs = [Fraction(0)]
+        self._n_minus_sp = [0]
         self._vp_d = padic_valuation(d, self.p)
         self.extend(depth)
 
@@ -382,7 +386,7 @@ class RecursionState:
             )
             self._S[-1] = new_rows
             self._hulls.append(_hull_of(new_rows, g, p))
-            self._factorial_logs.append(factorial_log_abs(n + 1, p))
+            self._n_minus_sp.append(n + 1 - digit_sum(n + 1, p))
             self._coeff_count += sum(len(c) - c.count(0) for row in new_rows for c in row)
             if self._coeff_count > self.budget:
                 raise BudgetExceededError(
@@ -446,8 +450,9 @@ class RecursionState:
         rho: Rational,
         depth: Optional[int] = None,
         include_factorial: bool = True,
-    ) -> list[Optional[Fraction]]:
-        """log_p ||G_n / n!|| (or ||G_n||) for n = 0..depth; None marks zero."""
+    ) -> tuple[list[Optional[int]], int]:
+        """log_p ||G_n / n!|| (or ||G_n||) for n = 0..depth as (nums, den):
+        entry n is nums[n] / den, and None marks a zero matrix."""
         depth = self.depth if depth is None else depth
         if depth < 0:
             raise InputError("depth must be nonnegative")
@@ -455,19 +460,24 @@ class RecursionState:
         rho = Fraction(rho)
         a, b = rho.numerator, rho.denominator
         # ||G_n|| = ||S_n|| * |d|^-n / ||Q||^n, and ||S_n|| = max over hull
-        # vertices of (y + e*rho) = max(b*y + a*e) / b
+        # vertices of (y + e*rho) = max(b*y + a*e) / b; log_p |n!| is
+        # -(n - s_p(n)) / (p - 1).  All three go over one denominator.
         shift = self._vp_d - self.Q.gauss_norm(rho, self.p).log
-        out: list[Optional[Fraction]] = []
+        p1 = self.p.p - 1
+        den = math.lcm(b, shift.denominator, p1)
+        scale = den // b
+        step = shift.numerator * (den // shift.denominator)
+        fact = den // p1 if include_factorial else 0
+        n_minus_sp = self._n_minus_sp
+        nums: list[Optional[int]] = []
         for n in range(depth + 1):
             hull = self._hulls[n]
-            if not hull:
-                out.append(None)
-                continue
-            val = Fraction(max(b * y + a * e for e, y in hull), b) + n * shift
-            if include_factorial:
-                val -= self._factorial_logs[n]
-            out.append(val)
-        return out
+            if hull:
+                top = max([b * y + a * e for e, y in hull])
+                nums.append(top * scale + n * step + n_minus_sp[n] * fact)
+            else:
+                nums.append(None)
+        return nums, den
 
 
 def _trimmed(acc: list[int], lo: int, g: int) -> _Coeffs:
@@ -558,7 +568,8 @@ def norm_sequence(
     rho = Fraction(rho)
     if not module.interval.contains(rho, closed=True):
         raise DomainError(f"rho={rho} outside the closed interval {module.interval}")
-    return tuple(gn_sequence(module, depth).log_norms(rho, depth, include_factorial))
+    nums, den = gn_sequence(module, depth).log_norms(rho, depth, include_factorial)
+    return tuple(None if v is None else Fraction(v, den) for v in nums)
 
 
 def frobenius_pullback(module: DiffModule, h: int = 1) -> DiffModule:

@@ -209,11 +209,11 @@ class LaurentPoly:
 
     def norm_profile(self, p: Union[int, Prime]) -> list[tuple[int, Fraction]]:
         """Sorted (exponent, log_p|coeff|) pairs; cached per prime."""
-        q = as_prime(p).p
-        prof = self._profiles.get(q)
+        q = as_prime(p)
+        prof = self._profiles.get(q.p)
         if prof is None:
             prof = sorted((e, log_abs(v, q).log) for e, v in self._c.items())
-            self._profiles[q] = prof
+            self._profiles[q.p] = prof
         return prof
 
     def gauss_norm(self, rho: Rational, p: Union[int, Prime]) -> LogMag:

@@ -70,9 +70,10 @@ def least_squares_line(points: Sequence[tuple[float, float]]) -> tuple[float, fl
     return slope, intercept, (rss / m) ** 0.5
 
 
-def tail_window(values: Sequence[Optional[Fraction]], depth: int) -> list[tuple[int, Fraction]]:
+def tail_window(values: Sequence[Optional[Rational]], depth: int) -> list[tuple[int, Rational]]:
     """(n, b_n) for n in the tail window [depth/2, depth], n >= 1, skipping
-    None (zero matrices): early terms are pre-asymptotic."""
+    None (zero matrices): early terms are pre-asymptotic.  The values may be
+    numerators over a common denominator."""
     return [(n, values[n]) for n in range(max(depth // 2, 1), depth + 1) if values[n] is not None]
 
 
@@ -123,20 +124,26 @@ def radius_estimate(
     if mode == EXACT and method == TAIL_SLOPE:
         raise InputError("exact mode reports tail-min only")
 
-    values = gn_sequence(module, depth).log_norms(rho, depth, include_factorial)
-    window = tail_window(values, depth)
+    nums, den = gn_sequence(module, depth).log_norms(rho, depth, include_factorial)
+    window = tail_window(nums, depth)
 
     if not window:
         # all tail matrices vanish: the solutions are polynomial, cap binds
         tail_min = rho
         capped = True
     else:
-        tail_min = min(-b / n for n, b in window)
+        # min of -b_n/n is the max of nums[n]/n, compared by cross-multiplying
+        n0, v0 = window[0]
+        for n, v in window:
+            if v * n0 > v0 * n:
+                n0, v0 = n, v
+        tail_min = Fraction(-v0, n0 * den)
         capped = tail_min >= rho
         tail_min = min(rho, tail_min)
 
     if len(window) >= 2:
-        slope, _, _ = least_squares_line([(float(n), float(b)) for n, b in window])
+        # int true division rounds correctly, as float() of a Fraction does
+        slope, _, _ = least_squares_line([(float(n), v / den) for n, v in window])
         tail_slope: Optional[float] = slope
         slope_value = min(float(rho), -slope)
     else:

@@ -9,6 +9,7 @@ from padicdiff.arith import (
     Interval,
     LogMag,
     Prime,
+    as_prime,
     digit_sum,
     factorial_log_abs,
     log_abs,
@@ -56,6 +57,15 @@ def test_prime_matches_trial_division(n):
             Prime(n)
 
 
+def test_as_prime_shares_one_instance_per_int():
+    # the word-power table is cached on the instance, so int callers share it
+    assert as_prime(7) is as_prime(7) is as_prime(as_prime(7))
+    assert as_prime(7)._word_power is as_prime(7)._word_power
+    for _ in range(2):  # a rejected value is rejected every time
+        with pytest.raises(InputError):
+            as_prime(8)
+
+
 def test_large_primes_are_fast_and_exact():
     # trial division up to sqrt(p) would take minutes here
     for p in (1000000000000000003, 318665857834031151167441):
@@ -85,6 +95,10 @@ def naive_valuation(n, p):
     return v
 
 
+# the exponent of the word power W = 3^K3 that starts the ladder for p = 3
+K3 = Prime(3)._word_power[1][Prime(3)._word_power[0]]
+
+
 @given(
     p=st.sampled_from([2, 3, 5, 7, 11, 97]),
     k=st.integers(0, 300),
@@ -93,6 +107,12 @@ def naive_valuation(n, p):
 )
 @example(p=5, k=150, unit=-3, as_prime_obj=True)
 @example(p=2, k=257, unit=-1, as_prime_obj=False)
+# v = k: one rung up; 2k - 1: one rung and the largest rest the gcd table
+# reads; 2k: one rung up and one down; 4k + 1: two up, one down and a rest of 1
+@example(p=3, k=K3, unit=1, as_prime_obj=True)
+@example(p=3, k=2 * K3 - 1, unit=-2, as_prime_obj=True)
+@example(p=3, k=2 * K3, unit=5, as_prime_obj=False)
+@example(p=3, k=4 * K3 + 1, unit=-7, as_prime_obj=True)
 def test_padic_valuation_matches_repeated_division(p, k, unit, as_prime_obj):
     n = unit * p**k
     assert padic_valuation(n, Prime(p) if as_prime_obj else p) == naive_valuation(n, p)

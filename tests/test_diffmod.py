@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from padicdiff import arith
 from padicdiff.arith import Interval, Prime, log_abs, padic_valuation
+from padicdiff.diagnostics import bounded_report
 from padicdiff.diffmod import (
     DiffModule,
+    RecursionState,
     RFMatrix,
     companion_of,
     frobenius_pullback,
@@ -21,6 +23,7 @@ from padicdiff.diffmod import (
 )
 from padicdiff.errors import BudgetExceededError, DomainError, InputError, InvalidGaugeError
 from padicdiff.laurent import LaurentPoly, RationalFunction, gauss_norm, parse_rational_function
+from padicdiff.radius import least_squares_line, radius_estimate, tail_window
 
 P2 = Prime(2)
 I01 = Interval(0, 1)
@@ -304,9 +307,16 @@ def test_extending_in_two_calls_matches_one_call():
     one_call = gn_sequence(whole, 48)
     for rho in (F(1, 2), F(9, 16), F(3, 4), F(15, 16), 1):
         for include_factorial in (True, False):
-            assert two_calls.log_norms(rho, 48, include_factorial) == one_call.log_norms(
-                rho, 48, include_factorial
+            assert as_fractions(two_calls.log_norms(rho, 48, include_factorial)) == as_fractions(
+                one_call.log_norms(rho, 48, include_factorial)
             )
+
+
+def as_fractions(norms):
+    """The (nums, den) of ``RecursionState.log_norms`` as Fractions, None kept."""
+    nums, den = norms
+    return [None if v is None else F(v, den) for v in nums]
+
 
 # -- norm sequences ------------------------------------------------------------------
 
@@ -351,6 +361,68 @@ def test_norm_sequence_unnormalized_flag():
     assert all(v == 0 for v in seq)
 
 
+def test_each_norm_query_is_one_log_norms_call(monkeypatch):
+    # perfbench/tracer.py counts norm queries by wrapping RecursionState.log_norms
+    # and reads the depth as its third positional argument
+    calls = []
+    original = RecursionState.log_norms
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(RecursionState, "log_norms", counting)
+    m = DiffModule(Prime(5), RFMatrix.from_strings([["x", "1/(1+2*x^2)"], ["3", "x^-1"]]),
+                   Interval(F(1, 2), 2))
+    for query in (
+        lambda: radius_estimate(m, 1, 20),
+        lambda: bounded_report(m, 1, 20, F(-1, 3)),
+        lambda: norm_sequence(m, 1, 20),
+    ):
+        calls.clear()
+        query()
+        assert len(calls) == 1
+        args, kwargs = calls[0]
+        assert len(args) >= 3 and args[2] == 20 and "depth" not in kwargs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=small_modules(),
+    t=st.fractions(0, 1, max_denominator=60).filter(lambda t: 0 < t < 1),
+    drop=st.fractions(0, 2, max_denominator=12),
+    float_log_r=st.booleans(),
+    depth=st.integers(16, 24),
+    include_factorial=st.booleans(),
+)
+def test_integer_norm_readers_match_the_fraction_sequence(
+    case, t, drop, float_log_r, depth, include_factorial
+):
+    """radius_estimate and bounded_report read the integer numerators of
+    log_norms; the slow path is the Fraction sequence of norm_sequence."""
+    m, _ = case
+    rho = m.interval.lo + t * m.interval.width
+    seq = norm_sequence(m, rho, depth, include_factorial)
+    window = tail_window(seq, depth)
+
+    est = radius_estimate(m, rho, depth, include_factorial=include_factorial)
+    tail_min = min([rho] + [-b / n for n, b in window])
+    assert est.tail_min == tail_min
+    if len(window) >= 2:
+        slope = least_squares_line([(float(n), float(b)) for n, b in window])[0]
+        assert est.tail_slope == slope
+        assert est.discrepancy == abs(float(tail_min) - min(float(rho), -slope))
+    else:
+        assert est.tail_slope is None and est.discrepancy == 0
+
+    log_r = rho - drop
+    log_r = float(log_r) if float_log_r and float(log_r) <= rho else log_r
+    values = bounded_report(m, rho, depth, log_r).values
+    normalized = seq if include_factorial else norm_sequence(m, rho, depth)
+    mult = F(log_r)
+    assert values == tuple(None if b is None else b + n * mult for n, b in enumerate(normalized))
+
+
 @pytest.fixture(scope="module")
 def wide_state():
     """Rank-2 module with a non-monomial denominator, its state to depth 24,
@@ -383,7 +455,7 @@ def test_log_norms_match_brute_force_gauss_norms(wide_state, pulled_state, rho, 
     # the pulled state at rho - 5/4, in (-3/4, 3/4): both ends of its hulls
     for (state, numerators), r in ((wide_state, rho), (pulled_state, rho - F(5, 4))):
         depth = len(numerators) - 1
-        assert state.log_norms(r, depth, include_factorial) == brute_force_log_norms(
+        assert as_fractions(state.log_norms(r, depth, include_factorial)) == brute_force_log_norms(
             state, numerators, r, include_factorial
         )
 
@@ -419,7 +491,7 @@ def word_power_state():
 def test_log_norms_past_the_word_power_match_gauss_norms(word_power_state, rho, include_factorial):
     state, numerators, calls = word_power_state
     assert calls == [3 ** (40 * n) for n in range(1, 13)]
-    assert state.log_norms(rho, 12, include_factorial) == brute_force_log_norms(
+    assert as_fractions(state.log_norms(rho, 12, include_factorial)) == brute_force_log_norms(
         state, numerators, rho, include_factorial
     )
 
