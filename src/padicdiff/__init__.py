@@ -6,13 +6,10 @@ one-slope non-Robba modules have bounded solutions at generic points.
 """
 
 from .arith import (
-    BOTTOM,
     Interval,
-    LogMag,
     Prime,
     as_prime,
     digit_sum,
-    factorial_log_abs,
     log_abs,
     padic_valuation,
 )

@@ -1,9 +1,9 @@
 """Exact p-adic magnitude arithmetic in base-p logarithmic coordinates.
 
 Every absolute value handled by this package is stored as its base-p
-logarithm, an exact rational: |a| = p^v corresponds to ``LogMag(Fraction(v))``.
-The absolute value 0 has no finite logarithm; it is the distinguished bottom
-element ``LogMag.BOTTOM``, which absorbs products and is the identity of max.
+logarithm, an exact ``Fraction``: |a| = p^v is stored as v.  The absolute
+value 0 has no finite logarithm; wherever a magnitude may be that of 0 (the
+Gauss norm of the zero function, an entry of a norm sequence) it is ``None``.
 
 Log-radii (rho = log_p r) are plain ``Fraction`` values; open intervals of
 log-radii are ``Interval`` values.  Everything here is immutable and safe to
@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, total_ordering
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Iterable, Sequence, Union
 
 from .errors import InputError
 
@@ -24,14 +24,11 @@ __all__ = [
     "Rational",
     "Prime",
     "as_prime",
-    "LogMag",
-    "BOTTOM",
     "Interval",
     "padic_valuation",
     "min_valuation",
     "log_abs",
     "digit_sum",
-    "factorial_log_abs",
     "upper_hull",
 ]
 
@@ -120,70 +117,6 @@ def _shared_prime(p: int) -> Prime:
     return Prime(p)
 
 
-@total_ordering
-@dataclass(frozen=True)
-class LogMag:
-    """log_p of a p-adic absolute value; ``log is None`` encodes |a| = 0.
-
-    Addition is the magnitude of a product (logs add, bottom absorbs);
-    the ordering makes ``max`` the magnitude of a sum's upper bound,
-    with bottom below every finite value.
-    """
-
-    log: Optional[Fraction]
-
-    @staticmethod
-    def finite(value: Rational) -> "LogMag":
-        return LogMag(Fraction(value))
-
-    @property
-    def is_bottom(self) -> bool:
-        return self.log is None
-
-    def __add__(self, other: object) -> "LogMag":
-        if isinstance(other, LogMag):
-            if self.log is None or other.log is None:
-                return BOTTOM
-            return LogMag(self.log + other.log)
-        if isinstance(other, (int, Fraction)):
-            return BOTTOM if self.log is None else LogMag(self.log + other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "LogMag":
-        """Magnitude of a quotient; the divisor must be nonzero."""
-        if isinstance(other, LogMag):
-            if other.log is None:
-                raise ZeroDivisionError("magnitude quotient by |0|")
-            other = other.log
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return BOTTOM if self.log is None else LogMag(self.log - other)
-
-    def scaled(self, factor: Rational) -> "LogMag":
-        """Magnitude of a power |a|^t for exact rational t > 0."""
-        return BOTTOM if self.log is None else LogMag(self.log * Fraction(factor))
-
-    def __lt__(self, other: "LogMag") -> bool:
-        if not isinstance(other, LogMag):
-            return NotImplemented
-        if self.log is None:
-            return other.log is not None
-        if other.log is None:
-            return False
-        return self.log < other.log
-
-    def __float__(self) -> float:
-        return float("-inf") if self.log is None else float(self.log)
-
-    def __repr__(self) -> str:
-        return "LogMag(bottom)" if self.log is None else f"LogMag({self.log})"
-
-
-BOTTOM = LogMag(None)
-
-
 def padic_valuation(n: int, p: Union[int, Prime]) -> int:
     """v_p(n) for a nonzero integer n.
 
@@ -194,7 +127,7 @@ def padic_valuation(n: int, p: Union[int, Prime]) -> int:
     divisors.  For p = 2 the valuation is the lowest set bit.
     """
     if n == 0:
-        raise InputError("valuation of 0 is undefined; use log_abs, which returns bottom")
+        raise InputError("valuation of 0 is undefined")
     q = as_prime(p)
     if q.p == 2:
         return (n & -n).bit_length() - 1
@@ -233,17 +166,15 @@ def min_valuation(values: Sequence[int], p: Union[int, Prime]) -> int:
     return padic_valuation(math.gcd(*values), q)
 
 
-def log_abs(a: Rational, p: Union[int, Prime]) -> LogMag:
-    """log_p |a|_p of an exact rational, BOTTOM for a = 0.
+def log_abs(a: Rational, p: Union[int, Prime]) -> Fraction:
+    """log_p |a|_p of a nonzero exact rational; InputError for a = 0.
 
     For a = p^k * u/v with u, v coprime to p this is the integer -k;
     log_abs(12, 2) = -2 because |12|_2 = 1/4.
     """
     a = Fraction(a)
-    if a == 0:
-        return BOTTOM
     q = as_prime(p)
-    return LogMag(Fraction(padic_valuation(a.denominator, q) - padic_valuation(a.numerator, q)))
+    return Fraction(padic_valuation(a.denominator, q) - padic_valuation(a.numerator, q))
 
 
 def digit_sum(n: int, p: Union[int, Prime]) -> int:
@@ -256,12 +187,6 @@ def digit_sum(n: int, p: Union[int, Prime]) -> int:
         s += n % q
         n //= q
     return s
-
-
-def factorial_log_abs(n: int, p: Union[int, Prime]) -> Fraction:
-    """log_p |n!|_p, computed exactly as -(n - digit_sum_p(n))/(p - 1)."""
-    q = as_prime(p).p
-    return Fraction(-(n - digit_sum(n, q)), q - 1)
 
 
 def upper_hull(points: Iterable[tuple[Rational, Rational]]) -> list[tuple[Rational, Rational]]:

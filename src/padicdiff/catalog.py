@@ -118,7 +118,7 @@ def catalog_get(
         alpha = Fraction(alpha)
         if alpha == 0:
             raise InputError("exp needs alpha != 0")
-        level = log_pi - log_abs(alpha, p).log
+        level = log_pi - log_abs(alpha, p)
         return CatalogEntry(
             name="exp",
             p=p,
@@ -137,10 +137,9 @@ def catalog_get(
         if a is None:
             raise InputError("euler needs the parameter a")
         a = Fraction(a)
-        a_log = log_abs(a, p)
-        if a_log.is_bottom or not a_log.log > 0:
+        if a == 0 or log_abs(a, p) <= 0:
             raise InputError("euler needs |a|_p > 1 so that |a - k| = |a| for integers k")
-        intercept = log_pi - a_log.log
+        intercept = log_pi - log_abs(a, p)
         return CatalogEntry(
             name="euler",
             p=p,

@@ -159,7 +159,7 @@ def log_radius_of(r: Fraction, p: int) -> Fraction:
     """log_p r: exact for powers of p, else 12 significant digits."""
     if r <= 0:
         raise InputError(f"radius must be positive, got {r}")
-    k = -log_abs(r, p).log  # r = p^k * u/v with u, v prime to p
+    k = -log_abs(r, p)  # r = p^k * u/v with u, v prime to p
     if r == Fraction(p) ** k:
         return k
     x = math.log(r.numerator) - math.log(r.denominator)
@@ -270,11 +270,14 @@ def _emit(args, kind: str, fields: dict) -> None:
 
 
 def _write(path: Optional[str], text: str) -> None:
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _require_rho(cfg: argparse.Namespace) -> Fraction:

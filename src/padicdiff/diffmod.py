@@ -41,6 +41,7 @@ from .errors import BudgetExceededError, DomainError, InputError, InvalidGaugeEr
 from .laurent import (
     LaurentPoly,
     RationalFunction,
+    _coerce,
     _content,
     _poly_divmod,
     _poly_gcd,
@@ -199,13 +200,10 @@ class RFMatrix:
 
 
 def _as_rf(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, LaurentPoly):
-        return RationalFunction(value)
-    if isinstance(value, (int, Fraction)):
-        return RationalFunction.constant(value)
-    raise InputError(f"not a rational function: {value!r}")
+    rf = _coerce(value)
+    if rf is NotImplemented:
+        raise InputError(f"not a rational function: {value!r}")
+    return rf
 
 
 @dataclass(eq=False)
@@ -462,7 +460,7 @@ class RecursionState:
         # ||G_n|| = ||S_n|| * |d|^-n / ||Q||^n, and ||S_n|| = max over hull
         # vertices of (y + e*rho) = max(b*y + a*e) / b; log_p |n!| is
         # -(n - s_p(n)) / (p - 1).  All three go over one denominator.
-        shift = self._vp_d - self.Q.gauss_norm(rho, self.p).log
+        shift = self._vp_d - self.Q.gauss_norm(rho, self.p)
         p1 = self.p.p - 1
         den = math.lcm(b, shift.denominator, p1)
         scale = den // b

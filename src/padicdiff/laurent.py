@@ -23,10 +23,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .arith import (
-    BOTTOM,
     MAX_DIGITS,
     Interval,
-    LogMag,
     Prime,
     Rational,
     as_prime,
@@ -55,7 +53,7 @@ class LaurentPoly:
     map is the zero polynomial.  Instances are immutable by convention.
     """
 
-    __slots__ = ("_c", "_profiles")
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs: Optional[Mapping[int, Rational]] = None):
         c: dict[int, Fraction] = {}
@@ -65,7 +63,6 @@ class LaurentPoly:
                 if v:
                     c[int(e)] = v
         self._c = c
-        self._profiles: dict[int, list[tuple[int, Fraction]]] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -141,13 +138,12 @@ class LaurentPoly:
             elif e in c:
                 del c[e]
         out = LaurentPoly.__new__(LaurentPoly)
-        out._c, out._profiles = c, {}
+        out._c = c
         return out
 
     def __neg__(self) -> "LaurentPoly":
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = {e: -v for e, v in self._c.items()}
-        out._profiles = {}
         return out
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -160,7 +156,6 @@ class LaurentPoly:
                 return LaurentPoly.zero()
             out = LaurentPoly.__new__(LaurentPoly)
             out._c = {e: v * other for e, v in self._c.items()}
-            out._profiles = {}
             return out
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -175,7 +170,6 @@ class LaurentPoly:
         scale = Fraction(1, d1 * d2)
         out = LaurentPoly.__new__(LaurentPoly)
         out._c = {e: v * scale for e, v in acc.items() if v}
-        out._profiles = {}
         return out
 
     __rmul__ = __mul__
@@ -197,7 +191,7 @@ class LaurentPoly:
 
     def derivative(self) -> "LaurentPoly":
         """Termwise d/dx: a_n x^n -> n a_n x^(n-1)."""
-        return LaurentPoly(_deriv(self._c))
+        return LaurentPoly({e - 1: e * v for e, v in self._c.items() if e})
 
     def substitute_power(self, m: int) -> "LaurentPoly":
         """x -> x^m for a nonzero integer m."""
@@ -208,19 +202,16 @@ class LaurentPoly:
     # -- norms -------------------------------------------------------------
 
     def norm_profile(self, p: Union[int, Prime]) -> list[tuple[int, Fraction]]:
-        """Sorted (exponent, log_p|coeff|) pairs; cached per prime."""
+        """Sorted (exponent, log_p|coeff|) pairs."""
         q = as_prime(p)
-        prof = self._profiles.get(q.p)
-        if prof is None:
-            prof = sorted((e, log_abs(v, q).log) for e, v in self._c.items())
-            self._profiles[q.p] = prof
-        return prof
+        return sorted((e, log_abs(v, q)) for e, v in self._c.items())
 
-    def gauss_norm(self, rho: Rational, p: Union[int, Prime]) -> LogMag:
+    def gauss_norm(self, rho: Rational, p: Union[int, Prime]) -> Optional[Fraction]:
+        """log_p of the Gauss norm at log-radius rho; None for the zero polynomial."""
         if not self._c:
-            return BOTTOM
+            return None
         rho = Fraction(rho)
-        return LogMag(max(lv + e * rho for e, lv in self.norm_profile(p)))
+        return max(lv + e * rho for e, lv in self.norm_profile(p))
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +219,16 @@ class LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def _mul_acc(acc: dict, a: Mapping[int, Rational], b: Mapping[int, Rational], k: int = 1) -> None:
-    """acc += k*a*b in place, over {exponent: coefficient} maps.
+def _mul_acc(acc: dict, a: Mapping[int, Rational], b: Mapping[int, Rational]) -> None:
+    """acc += a*b in place, over {exponent: coefficient} maps.
 
     May leave zero coefficients in acc; callers filter once when the sum is
     complete.  The outer loop runs over a: pass the shorter factor first."""
     get = acc.get
     for e1, v1 in a.items():
-        v1 *= k
         for e2, v2 in b.items():
             e = e1 + e2
             acc[e] = get(e, 0) + v1 * v2
-
-
-def _deriv(c: Mapping[int, Rational]) -> dict:
-    """Termwise d/dx of a coefficient map: a_n x^n -> n a_n x^(n-1)."""
-    return {e - 1: e * v for e, v in c.items() if e}
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +461,8 @@ def gauss_norm(
     f: Union[LaurentPoly, RationalFunction],
     rho: Rational,
     p: Union[int, Prime],
-) -> LogMag:
-    """Gauss norm log_p|f| at log-radius rho.
+) -> Optional[Fraction]:
+    """Gauss norm log_p|f| at log-radius rho; None for the zero function.
 
     For a Laurent polynomial this is max_n (log_p|a_n| + n*rho); for a
     quotient it is the numerator norm minus the denominator norm, which by
@@ -487,8 +472,8 @@ def gauss_norm(
         return f.gauss_norm(rho, p)
     if f.den.is_zero:
         raise InputError("zero denominator")
-    den_norm = f.den.gauss_norm(rho, p)
-    return f.num.gauss_norm(rho, p) - den_norm
+    num_norm = f.num.gauss_norm(rho, p)
+    return None if num_norm is None else num_norm - f.den.gauss_norm(rho, p)
 
 
 def newton_root_logmags(f: LaurentPoly, p: Union[int, Prime]) -> list[tuple[Fraction, int]]:
@@ -511,15 +496,10 @@ def pole_free_on(
     interval: Interval,
     p: Union[int, Prime],
 ) -> bool:
-    """True iff f has no pole of log-magnitude inside the open interval.
-
-    Reduces f to lowest terms first; poles are the denominator roots, whose
-    log-magnitudes are read off the Newton polygon.
+    """True iff f has no pole of log-magnitude inside the open interval;
+    the poles are those of f in lowest terms, as ``pole_logmags`` lists them.
     """
-    r = f.reduce()
-    if r.den == LaurentPoly.one():
-        return True
-    return not any(interval.contains(s) for s, _ in newton_root_logmags(r.den, p))
+    return not any(interval.contains(s) for s in pole_logmags(f, p))
 
 
 def pole_logmags(f: RationalFunction, p: Union[int, Prime]) -> list[Fraction]:

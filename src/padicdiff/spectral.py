@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .arith import BOTTOM, Interval, LogMag, Prime, Rational, as_prime
+from .arith import Interval, Prime, Rational, as_prime
 from .diffmod import DiffModule, RFMatrix, companion_of
 from .errors import CyclicSearchError, DomainError, InputError
 from .laurent import (
@@ -180,20 +180,19 @@ def cyclic_vector(
     )
 
 
-def max_root_norm(op: ScalarOperator, rho: Rational) -> LogMag:
+def max_root_norm(op: ScalarOperator, rho: Rational) -> Optional[Fraction]:
     """log of the maximal root magnitude of the characteristic polynomial.
 
     For the monic polynomial t^mu + q_1(rho) t^(mu-1) + ... + q_mu(rho) the
-    Newton polygon gives max|root| = max_i |q_i|^(1/i); bottom when every
+    Newton polygon gives max|root| = max_i |q_i|^(1/i); None when every
     q_i vanishes (all roots 0).  Raises DomainError on a pole at rho.
     """
     rho = Fraction(rho)
-    best = BOTTOM
     for i, qi in enumerate(op.coeffs, start=1):
         if rho in pole_logmags(qi, op.p):
             raise DomainError(f"coefficient q_{i} has a pole at rho={rho}")
-        best = max(best, gauss_norm(qi, rho, op.p).scaled(Fraction(1, i)))
-    return best
+    norms = (gauss_norm(qi, rho, op.p) for qi in op.coeffs)
+    return max((n / i for i, n in enumerate(norms, start=1) if n is not None), default=None)
 
 
 @dataclass(frozen=True)
@@ -216,9 +215,9 @@ def young_radius(op: ScalarOperator, rho: Rational) -> YoungRadius:
     rho = Fraction(rho)
     bound = rho + op.p.log_pi
     lam = max_root_norm(op, rho)
-    if lam.is_bottom:
+    if lam is None:
         return YoungRadius(log_r=None, applicable=False, rho=rho, regime_bound=bound)
-    value = op.p.log_pi - lam.log
+    value = op.p.log_pi - lam
     return YoungRadius(
         log_r=value,
         applicable=value < bound,

@@ -124,6 +124,17 @@ def test_norms_csv(tmp_path, config_file, capsys):
     assert len(lines) == 18
 
 
+def test_norms_csv_leaves_vanishing_terms_blank(tmp_path, capsys):
+    out = tmp_path / "norms.csv"
+    code = main(["norms", "--catalog", "zero", "--p", "2", "--interval", "1, 4", "--rho", "1",
+                 "--depth", "16", "--csv", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "0,0.0,0"
+    assert lines[2:] == [f"{n},," for n in range(1, 17)]
+
+
 def test_norms_negative_depth_exit_1(tmp_path, config_file, capsys):
     out = tmp_path / "norms.csv"
     code = main(["norms", "--config", config_file, "--rho", "0", "--depth=-3",
@@ -359,16 +370,63 @@ def case(config, argv, error_type, named, id):
              "ParseError", "span more than 1000", "matrix-product-past-span-limit"),
         case(MODULE, ["nonsense"], "InputError", "nonsense", "unknown-command"),
         case(MODULE, [], "InputError", "command", "no-command"),
+        case(MODULE, ["radius", "--catalog", "exp", "--p", "2"], "InputError", "not both",
+             "config-and-catalog"),
+        case(None, ["radius", "--catalog", "exp", "--interval", "1, 4"], "InputError", "--p",
+             "catalog-without-p"),
+        case(None, ["radius", "--config", "missing.ini"], "InputError", "missing.ini",
+             "config-file-missing"),
+        case("[run]\ndepth = 16\n", ["radius"], "InputError", "[module]", "no-module-section"),
+        case("[module]\np = 2\ninterval = 1/2, 2\n", ["radius"], "InputError", "matrix",
+             "module-without-matrix"),
+        case("[module]\np = 2\nmatrix =\ninterval = 1/2, 2\n", ["radius"], "InputError",
+             "empty matrix", "matrix-empty"),
+        case(MODULE.replace("1/2, 2", "2"), ["radius"], "InputError", "interval",
+             "interval-one-value"),
+        case(MODULE.replace("interval = 1/2, 2", "log_interval = 1"), ["radius"], "InputError",
+             "log_interval", "log-interval-one-value"),
+        case(MODULE + "log_interval = -1, 1\n", ["radius"], "InputError", "exactly one",
+             "interval-and-log-interval"),
+        case(MODULE.replace("1/2, 2", "0, 2"), ["radius"], "InputError", "positive",
+             "interval-radius-0"),
+        case(MODULE.replace("0, 1\n", "0, 1/0\n"), ["radius"], "InputError", "division",
+             "matrix-cell-1/0"),
+        case(MODULE.replace("0, 1\n", "0, 0^-1\n"), ["radius"], "InputError", "negative power",
+             "matrix-cell-0^-1"),
     ],
 )
-def test_invalid_input_is_one_json_error(tmp_path, capsys, config, argv, error_type, named):
-    path = tmp_path / "module.ini"
-    path.write_bytes(config if isinstance(config, bytes) else config.encode())
-    code = main([*argv[:1], "--config", str(path), *argv[1:]])
+def test_invalid_input_is_one_json_error(
+    tmp_path, monkeypatch, capsys, config, argv, error_type, named
+):
+    # config None: the command line alone; relative paths resolve in tmp_path
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        path = tmp_path / "module.ini"
+        path.write_bytes(config if isinstance(config, bytes) else config.encode())
+        argv = [*argv[:1], "--config", str(path), *argv[1:]]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert named in assert_one_json_error(captured.err, error_type)["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--json", ["radius", "--rho", "0"]),
+        ("--csv", ["norms", "--rho", "0", "--depth", "16"]),
+        ("--svg", ["polygon", "--depth", "32", "--grid", "3"]),
+        ("--out", ["pullback"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_unwritable_output_path_is_one_json_error(tmp_path, capsys, config_file, flag, argv):
+    target = str(tmp_path / "module.ini" / "out")  # under the config file, a regular file
+    code = main([*argv[:1], "--config", config_file, *argv[1:], flag, target])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert target in assert_one_json_error(captured.err, "InputError")["message"]
 
 
 def test_help_still_exits_0(capsys):

@@ -8,9 +8,11 @@ from padicdiff.catalog import catalog_get
 from padicdiff.diagnostics import (
     BOUNDED_DECAYING,
     BOUNDED_PLATEAU,
+    INCONCLUSIVE,
     SUSPECTED_UNBOUNDED,
     VERDICT_HYPOTHESES_FAIL,
     VERDICT_VERIFIED,
+    _classify,
     bounded_report,
     theorem_check,
 )
@@ -88,6 +90,15 @@ def test_decaying_classification():
     rep = bounded_report(m, 0, 256, log_r=F(-3, 2))
     assert rep.classification == BOUNDED_DECAYING
     assert rep.tail_slope < -0.02
+
+
+def test_classify_noisy_fit_and_plateau_guard():
+    # an rms residual above 3 is inconclusive whatever the slope
+    assert _classify(0.0, 3.5, F(0), 0.02) == INCONCLUSIVE
+    assert _classify(-1.0, 3.5, F(0), 0.02) == INCONCLUSIVE
+    # a flat tail is a plateau only while the running max stays below 40
+    assert _classify(0.0, 0.0, F(39), 0.02) == BOUNDED_PLATEAU
+    assert _classify(0.0, 0.0, F(40), 0.02) == SUSPECTED_UNBOUNDED
 
 
 def test_bounded_report_json_shape():

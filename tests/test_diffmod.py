@@ -462,15 +462,15 @@ def test_log_norms_match_brute_force_gauss_norms(wide_state, pulled_state, rho, 
 
 def brute_force_log_norms(state, numerators, rho, include_factorial):
     p = state.p
-    q_norm = state.Q.gauss_norm(rho, p).log
+    q_norm = state.Q.gauss_norm(rho, p)
     want = []
     for n, pn in enumerate(numerators):
-        norms = [gauss_norm(c, rho, p).log for row in pn for c in row if not c.is_zero]
+        norms = [gauss_norm(c, rho, p) for row in pn for c in row if not c.is_zero]
         if not norms:
             want.append(None)
             continue
         val = max(norms) - n * q_norm
-        want.append(val - log_abs(math.factorial(n), p).log if include_factorial else val)
+        want.append(val - log_abs(math.factorial(n), p) if include_factorial else val)
     return want
 
 

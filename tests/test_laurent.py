@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from padicdiff.arith import Interval, LogMag, log_abs
+from padicdiff.arith import Interval, log_abs
 from padicdiff.errors import InputError, ParseError
 from padicdiff.laurent import (
     LaurentPoly,
@@ -70,13 +70,12 @@ def test_product_matches_fraction_convolution(a, b):
     acc=st.dictionaries(st.integers(-8, 8), st.integers(-99, 99), max_size=7),
     a=st.dictionaries(st.integers(-4, 4), st.integers(-99, 99), max_size=4),
     b=st.dictionaries(st.integers(-8, 8), st.integers(-(10**20), 10**20), max_size=7),
-    k=st.integers(-5, 5),
 )
-def test_mul_acc_adds_the_scaled_product_in_place(acc, a, b, k):
+def test_mul_acc_adds_the_scaled_product_in_place(acc, a, b):
     want = dict(acc)
     for e, v in cauchy_product(a, b).items():
-        want[e] = want.get(e, 0) + k * v
-    _mul_acc(acc, a, b, k)
+        want[e] = want.get(e, 0) + v
+    _mul_acc(acc, a, b)
     assert {e: v for e, v in acc.items() if v} == {e: v for e, v in want.items() if v}
 
 
@@ -98,15 +97,15 @@ def test_substitute_power():
 
 
 def test_gauss_norm_examples():
-    assert gauss_norm(P("2 + x"), 0, 2) == LogMag.finite(0)
-    assert gauss_norm(P("x^-1 + 4*x"), 1, 2) == LogMag.finite(-1)
+    assert gauss_norm(P("2 + x"), 0, 2) == 0
+    assert gauss_norm(P("x^-1 + 4*x"), 1, 2) == -1
     # quotient: expand (1+2x)^2 = 1 + 4x + 4x^2, both norms 0 at rho=0
-    assert gauss_norm(P("(1+2*x)^2/(2+x)"), 0, 2) == LogMag.finite(0)
+    assert gauss_norm(P("(1+2*x)^2/(2+x)"), 0, 2) == 0
 
 
-def test_gauss_norm_zero_is_bottom():
-    assert gauss_norm(LaurentPoly.zero(), 0, 2).is_bottom
-    assert gauss_norm(RationalFunction.zero(), 1, 3).is_bottom
+def test_gauss_norm_zero_is_none():
+    assert gauss_norm(LaurentPoly.zero(), 0, 2) is None
+    assert gauss_norm(RationalFunction.zero(), 1, 3) is None
 
 
 def test_gauss_norm_multiplicative():
@@ -124,6 +123,8 @@ def test_gauss_norm_subadditive():
         f, g = rand_laurent(rng), rand_laurent(rng)
         p = rng.choice([2, 3, 5])
         rho = F(rng.randint(-4, 4))
+        if (f + g).is_zero:
+            continue  # |0| lies below every norm
         nf, ng = gauss_norm(f, rho, p), gauss_norm(g, rho, p)
         ns = gauss_norm(f + g, rho, p)
         assert ns <= max(nf, ng)
@@ -138,7 +139,7 @@ def test_gauss_norm_derivative_bound():
         p = rng.choice([2, 3, 5])
         rho = F(rng.randint(-4, 4), rng.randint(1, 3))
         nd = gauss_norm(f.derivative(), rho, p)
-        assert nd <= gauss_norm(f, rho, p) + (-rho)
+        assert nd is None or nd <= gauss_norm(f, rho, p) + (-rho)  # None: f constant
 
 
 def test_gauss_norm_convex_in_rho():
@@ -150,7 +151,7 @@ def test_gauss_norm_convex_in_rho():
         r2 = r1 + rng.randint(1, 4)
         mid = (r1 + r2) / 2
         n1, n2, nm = (gauss_norm(f, r, p) for r in (r1, r2, mid))
-        assert nm.log * 2 <= n1.log + n2.log
+        assert nm * 2 <= n1 + n2
 
 
 def test_gauss_norm_quotient_needs_nonzero_den():
@@ -173,7 +174,7 @@ def test_newton_root_logmags_examples():
 
 def lower_polygon_reference(f, p):
     """Slopes of the lower Newton polygon of (n, v_p(a_n)), the direct way."""
-    pts = sorted((e, -log_abs(v, p).log) for e, v in f.coeffs.items())
+    pts = sorted((e, -log_abs(v, p)) for e, v in f.coeffs.items())
     hull = []
     for pt in pts:
         while len(hull) >= 2:
@@ -214,9 +215,7 @@ def test_newton_root_logmags_planted():
         got = sorted(
             [s for s, mult in newton_root_logmags(poly, p) for _ in range(mult)]
         )
-        from padicdiff.arith import log_abs
-
-        want = sorted(log_abs(r, p).log for r in roots)
+        want = sorted(log_abs(r, p) for r in roots)
         assert got == want
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
+from padicdiff import radius
 from padicdiff.arith import Interval, Prime
 from padicdiff.catalog import catalog_get
 from padicdiff.diffmod import DiffModule, RFMatrix, gauge_transform
@@ -14,8 +15,12 @@ from padicdiff.radius import (
     FLOAT,
     TAIL_MIN,
     TAIL_SLOPE,
+    ConvergencePolygon,
+    PolygonSegment,
+    RadiusEstimate,
     frobenius_radius_check,
     is_non_robba,
+    least_squares_line,
     one_slope,
     polygon_estimate,
     radius_estimate,
@@ -137,6 +142,36 @@ def test_polygon_euler_slope_one():
 def test_polygon_needs_three_points():
     with pytest.raises(InputError):
         polygon_estimate(zero_module(Interval(0, 1)), grid=2, depth=64)
+
+
+def test_polygon_merges_equal_snapped_slopes(monkeypatch):
+    # samples on rho = 1..5 rise by 501/1000 up to rho = 3, then by 499/1000:
+    # two hull pieces whose slopes both snap to 1/2
+    log_r = {1: F(0), 2: F(501, 1000), 3: F(1002, 1000), 4: F(1501, 1000), 5: F(2)}
+
+    def fake_estimate(module, rho, depth, method, mode):
+        value = log_r[rho]
+        return RadiusEstimate(rho, value, method, depth, 0.0, False, value, None, mode)
+
+    monkeypatch.setattr(radius, "radius_estimate", fake_estimate)
+    poly = polygon_estimate(zero_module(Interval(0, 6)), grid=5, depth=64)
+    assert [(s.slope, s.intercept) for s in poly.segments] == [(F(1, 2), F(-1, 2))]
+    assert poly.segments[0].raw_slope == F(501, 1000)
+
+
+def test_non_robba_negative_margin():
+    seg = PolygonSegment(F(0), F(2), F(1), F(1, 4), F(1), F(1, 4))
+    poly = ConvergencePolygon(Interval(0, 2), (seg,), (), 0.0, False)
+    res = is_non_robba(poly)
+    assert not res.non_robba
+    assert res.margin == F(-1, 4) and res.witness == 0
+
+
+def test_least_squares_line_degenerate_inputs():
+    assert least_squares_line([]) == (0.0, 0.0, 0.0)
+    assert least_squares_line([(3.0, 2.5)]) == (0.0, 2.5, 0.0)
+    # equal x values: no slope, the mean of y
+    assert least_squares_line([(1.0, 1.0), (1.0, 3.0)]) == (0.0, 2.0, 0.0)
 
 
 def test_polygon_samples_concave_on_families():
