@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import re
@@ -332,14 +333,14 @@ def _cmd_polygon(args, cfg: argparse.Namespace) -> int:
         max_denominator=cfg.max_denominator,
         mode=cfg.mode,
     )
+    if args.svg:
+        _write(args.svg, polygon_svg(poly))
     _emit(args, "polygon", {
         "p": cfg.module.p.p,
         "depth": cfg.depth,
         "mode": cfg.mode,
         **polygon_json(poly),
     })
-    if args.svg:
-        _write(args.svg, polygon_svg(poly))
     return 0
 
 
@@ -350,9 +351,9 @@ def _cmd_bounded(args, cfg: argparse.Namespace) -> int:
     else:
         log_r = radius_estimate(cfg.module, rho, cfg.depth).tail_min
     report = bounded_report(cfg.module, rho, cfg.depth, log_r, cfg.tolerance)
-    _emit(args, "bounded", {"p": cfg.module.p.p, **bounded_json(report)})
     if args.svg:
         _write(args.svg, sequence_svg(report.values))
+    _emit(args, "bounded", {"p": cfg.module.p.p, **bounded_json(report)})
     return 2 if report.classification == INCONCLUSIVE else 0
 
 
@@ -365,9 +366,9 @@ def _cmd_theorem(args, cfg: argparse.Namespace) -> int:
         max_denominator=cfg.max_denominator,
         mode=cfg.mode,
     )
-    _emit(args, "theorem", {"p": cfg.module.p.p, "depth": cfg.depth, **theorem_json(report)})
     if args.svg:
         _write(args.svg, polygon_svg(report.polygon))
+    _emit(args, "theorem", {"p": cfg.module.p.p, "depth": cfg.depth, **theorem_json(report)})
     return 2 if report.verdict == VERDICT_UNCLEAR else 0
 
 
@@ -470,7 +471,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; argparse builds a fresh namespace, and
+    fresh lists for append actions, on every parse."""
     parser = _Parser(
         prog="padicdiff",
         description="exact toolkit for differential modules on p-adic annuli",

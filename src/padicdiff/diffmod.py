@@ -292,28 +292,36 @@ class RecursionState:
     multiplier per coefficient, d*v*(e - n*f) for the term v*x^f of Q and the
     exponent e of the coefficient.
 
-    The state keeps only the newest S_n, n = ``depth``, which ``P()`` and
-    ``term_matrix()`` describe.  For every n it keeps the upper hull of the
-    points (exponent, -v), v the minimal valuation of that exponent's
-    coefficient across the entries of S_n: only hull vertices can attain the
+    A companion matrix (rows 0..mu-2 are e_1, ..., e_(mu-1)) is the system
+    of X = (u, u', ..., u^(mu-1)), so X_i = X_0^(i): every row of G_n follows
+    the same recursion r -> r' + r*G, and row i of G_n is row 0 of G_(n+i).
+    For it the state computes row 0 alone, lag = mu steps ahead of ``depth``;
+    any other module computes all mu rows, lag = 1.  The loop is the same:
+    each step m -> m + 1 extends the newest mu/lag rows of S_m.
+
+    The state keeps only the newest window, n = ``depth``, which ``P()`` and
+    ``term_matrix()`` describe: the mu rows of S_n, or row 0 of S_n, ...,
+    S_(n+mu-1).  For every step m it keeps the upper hull of the points
+    (exponent, -v), v the minimal valuation of that exponent's coefficient
+    across the entries computed at step m: only hull vertices can attain the
     Gauss norm max(-v + e*rho), and a hull has a handful of vertices where
-    S_n has hundreds of exponents.  Each step builds its hull at once in one
-    aligned walk over the mu^2 zero-padded lists, one ``arith.min_valuation``
-    gcd per exponent, from both ends inwards to the first exponent of
-    valuation 0 (``_hull_of``); every norm query reads every n <= depth
-    anyway.  A query at rho is integer work: ``log_norms`` returns one
-    numerator per n over a single denominator, and log_p |n!| =
-    -(n - s_p(n))/(p - 1) comes from an int table of n - s_p(n) grown with
-    the recursion.  The state keeps the module's prime and rank, not the
-    module, so a module that caches its state is freed by reference counting
-    alone.
+    S_m has hundreds of exponents.  Each step builds its hull at once in one
+    aligned walk over the zero-padded lists, one ``arith.min_valuation`` gcd
+    per exponent, from both ends inwards to the first exponent of valuation
+    0 (``_hull_of``); every norm query reads every m anyway.  A query at rho
+    is integer work: ``log_norms`` returns one numerator per n over a single
+    denominator, the max over m = n..n+lag-1 of log ||S_m / (d^m Q^m)||, and
+    log_p |n!| = -(n - s_p(n))/(p - 1) comes from an int table of
+    n - s_p(n) grown with the recursion.  The state keeps the module's prime
+    and rank, not the module, so a module that caches its state is freed by
+    reference counting alone.
 
     ``perfbench/tracer.py`` reads two private fields: ``_S``, a one-slot list
-    whose ``_S[-1]`` holds S_n as rows of entries with a ``values()`` method,
-    and ``_coeff_count``, the number of nonzero coefficients computed so far,
-    which is also what ``budget`` bounds.  It also wraps ``log_norms`` and
-    reads its depth as the third positional argument, so every norm query,
-    ``norm_sequence`` included, is one call of that method.
+    whose ``_S[-1]`` holds the window as rows of entries with a ``values()``
+    method, and ``_coeff_count``, the number of nonzero coefficients computed
+    so far, which is also what ``budget`` bounds.  It also wraps
+    ``log_norms`` and reads its depth as the third positional argument, so
+    every norm query, ``norm_sequence`` included, is one call of that method.
     """
 
     def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
@@ -359,13 +367,23 @@ class RecursionState:
         shifts += [s for s, _, _ in self._qterms]
         self._g = math.gcd(*(s - shifts[0] for s in shifts)) or 1
 
-        # a one-slot list of rows of _Coeffs, whose values() is the list itself,
-        # because perfbench/tracer.py reads S_n as _S[-1] (see the docstring)
-        ident = tuple(
-            tuple(_Coeffs([1]) if i == j else _Coeffs() for j in range(mu)) for i in range(mu)
+        # a companion matrix (rows 0..mu-2 are e_1, ..., e_(mu-1)) needs row 0 alone
+        companion = all(
+            e == (1 if j == i + 1 else 0)
+            for i, row in enumerate(reduced[:-1])
+            for j, e in enumerate(row)
         )
-        self._S: list[tuple[tuple[_Coeffs, ...], ...]] = [ident]
-        self._coeff_count = mu
+        self._lag = mu if companion else 1
+
+        # S_0 = I, all of it or its row 0, in a one-slot list of rows of _Coeffs,
+        # whose values() is the list itself, because perfbench/tracer.py reads
+        # the window as _S[-1] (see the docstring)
+        per_step = mu // self._lag
+        start = tuple(
+            tuple(_Coeffs([1]) if i == j else _Coeffs() for j in range(mu)) for i in range(per_step)
+        )
+        self._S: list[tuple[tuple[_Coeffs, ...], ...]] = [start]
+        self._coeff_count = per_step
         self._hulls: list[list[tuple[int, int]]] = [[(0, 0)]]
         self._n_minus_sp = [0]
         self._vp_d = padic_valuation(d, self.p)
@@ -373,22 +391,24 @@ class RecursionState:
 
     @property
     def depth(self) -> int:
-        return len(self._hulls) - 1
+        return len(self._hulls) - self._lag
 
     def extend(self, depth: int) -> None:
         mu, p, g = self.rank, self.p, self._g
+        per_step = mu // self._lag  # rows of S_m computed per step: all, or row 0
         while self.depth < depth:
-            n = self.depth
+            m = len(self._hulls) - 1
+            window = self._S[-1]
             new_rows = tuple(
-                tuple(self._next_entry(Si, j, n) for j in range(mu)) for Si in self._S[-1]
+                tuple(self._next_entry(Si, j, m) for j in range(mu)) for Si in window[-per_step:]
             )
-            self._S[-1] = new_rows
+            self._S[-1] = (window + new_rows)[-mu:]
             self._hulls.append(_hull_of(new_rows, g, p))
-            self._n_minus_sp.append(n + 1 - digit_sum(n + 1, p))
+            self._n_minus_sp.append(m + 1 - digit_sum(m + 1, p))
             self._coeff_count += sum(len(c) - c.count(0) for row in new_rows for c in row)
             if self._coeff_count > self.budget:
                 raise BudgetExceededError(
-                    f"recursion stopped at n={n + 1}: {self._coeff_count} "
+                    f"recursion stopped at n={m + 1}: {self._coeff_count} "
                     f"coefficients computed exceed budget {self.budget}"
                 )
 
@@ -427,13 +447,22 @@ class RecursionState:
 
     def P(self) -> list[list[LaurentPoly]]:
         """Numerator matrix with G_n = P() / Q^n for n = ``depth``, exact
-        rational coefficients."""
-        scale = Fraction(1, self.d**self.depth)
-        g = self._g
-        return [
-            [LaurentPoly({c.lo + g * k: v * scale for k, v in enumerate(c) if v}) for c in row]
-            for row in self._S[-1]
-        ]
+        rational coefficients.  Row i is S_n[i] / d^n or, when only row 0 is
+        computed, S_(n+i)[0] / (d^(n+i) Q^i), an exact division."""
+        n, g, per_step = self.depth, self._g, self.rank // self._lag
+        out = []
+        for i, row in enumerate(self._S[-1]):
+            k = i // per_step  # the row was computed at step n + k
+            scale, qk = Fraction(1, self.d ** (n + k)), (self.Q**k).coeffs
+            out.append(
+                [
+                    LaurentPoly(
+                        _exact_quotient({c.lo + g * t: v * scale for t, v in enumerate(c) if v}, qk)
+                    )
+                    for c in row
+                ]
+            )
+        return out
 
     def term_matrix(self) -> RFMatrix:
         """G_n for n = ``depth`` as a matrix of rational functions (unreduced
@@ -466,16 +495,32 @@ class RecursionState:
         scale = den // b
         step = shift.numerator * (den // shift.denominator)
         fact = den // p1 if include_factorial else 0
-        n_minus_sp = self._n_minus_sp
-        nums: list[Optional[int]] = []
-        for n in range(depth + 1):
-            hull = self._hulls[n]
-            if hull:
-                top = max([b * y + a * e for e, y in hull])
-                nums.append(top * scale + n * step + n_minus_sp[n] * fact)
-            else:
-                nums.append(None)
+        # log ||S_m / (d^m Q^m)|| for each step m; the rows of G_n were computed
+        # at steps n..n+lag-1 (row i of G_n is row 0 of G_(n+i) for lag = mu)
+        lag = self._lag
+        tops = [
+            max([b * y + a * e for e, y in hull]) * scale + m * step if hull else None
+            for m, hull in enumerate(self._hulls[: depth + lag])
+        ]
+        best = tops[: depth + 1]
+        for k in range(1, lag):
+            best = [
+                u if v is None else v if u is None else max(u, v) for u, v in zip(best, tops[k:])
+            ]
+        nums = [None if v is None else v + t * fact for v, t in zip(best, self._n_minus_sp)]
         return nums, den
+
+
+def _exact_quotient(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    """a / b for a Laurent polynomial a and a polynomial b with a nonzero
+    constant term; raises ArithmeticError when b does not divide a."""
+    if not a:
+        return {}
+    s = min(a)
+    quo, rem = _poly_divmod({e - s: v for e, v in a.items()}, b)
+    if rem:
+        raise ArithmeticError("the recursion state's row does not divide exactly")
+    return {e + s: v for e, v in quo.items()}
 
 
 def _trimmed(acc: list[int], lo: int, g: int) -> _Coeffs:

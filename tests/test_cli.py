@@ -429,6 +429,40 @@ def test_unwritable_output_path_is_one_json_error(tmp_path, capsys, config_file,
     assert target in assert_one_json_error(captured.err, "InputError")["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polygon", "--depth", "32", "--grid", "3"],
+        ["bounded", "--rho", "0", "--depth", "32", "--log-r", "-1"],
+        ["theorem", "--depth", "32", "--grid", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_svg_leaves_no_report(tmp_path, capsys, config_file, argv):
+    # the plot is written before the report, so a failed run prints no report
+    target = str(tmp_path / "module.ini" / "plot.svg")  # under a regular file
+    code = main([*argv[:1], "--config", config_file, *argv[1:], "--svg", target])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert target in assert_one_json_error(captured.err, "InputError")["message"]
+
+
+def test_parser_is_built_once_and_parses_afresh(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    orders = []
+    for qs in (["0", "-1"], ["1"]):
+        flags = [arg for q in qs for arg in ("--q", q)]
+        code, doc, _ = run_json(
+            capsys,
+            ["cyclic", "--catalog", "companion", "--p", "2", *flags, "--log-interval", "0, 2"],
+        )
+        assert code == 0
+        orders.append(doc["order"])
+    # the second call's --q list starts empty, not with the first call's values
+    assert orders == [2, 1]
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -275,7 +275,8 @@ def sparse_module():
 @pytest.mark.parametrize(
     "module, stopped",
     [
-        pytest.param(deep_rank3_module, "stopped at n=44: 20772 coefficients",
+        # a companion module: only row 0 of each S_n is computed and counted
+        pytest.param(deep_rank3_module, "stopped at n=75: 20181 coefficients",
                      id="deep-rank3"),
         pytest.param(lambda: frobenius_pullback(sparse_module(), 1),
                      "stopped at n=71: 20029 coefficients", id="pulled-sparse"),
@@ -421,6 +422,59 @@ def test_integer_norm_readers_match_the_fraction_sequence(
     normalized = seq if include_factorial else norm_sequence(m, rho, depth)
     mult = F(log_r)
     assert values == tuple(None if b is None else b + n * mult for n, b in enumerate(normalized))
+
+
+def assert_matches_the_slow_path(m, rho, depth=12):
+    """term_matrix() against the RFMatrix recursion for n <= 5, and log_norms
+    against the Gauss norms of P() to ``depth``, with and without n!, each on
+    a state of its own, read as it grows."""
+    grown = DiffModule(m.p, m.matrix, m.interval)
+    direct = RFMatrix.identity(m.rank)
+    for n in range(6):
+        assert gn_sequence(grown, n).term_matrix() == direct
+        direct = (direct.derivative() + direct @ m.matrix).reduced()
+    grown = DiffModule(m.p, m.matrix, m.interval)
+    numerators = [gn_sequence(grown, n).P() for n in range(depth + 1)]
+    state = gn_sequence(grown, depth)
+    for include_factorial in (True, False):
+        want = brute_force_log_norms(state, numerators, rho, include_factorial)
+        assert as_fractions(state.log_norms(rho, depth, include_factorial)) == want
+
+
+@st.composite
+def companion_modules(draw):
+    """Companion modules of rank 1-3, coefficients from the Laurent numerator
+    and denominator pools (or denominator 1)."""
+    mu = draw(st.integers(1, 3))
+    pool = st.one_of(den_factors, st.just("1"))
+    q = [RationalFunction(draw(laurent_nums), P(draw(pool)).num) for _ in range(mu)]
+    return companion_of(draw(st.sampled_from([2, 3, 5])), q, I01)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=companion_modules(), rho=st.fractions(0, 1, max_denominator=12))
+def test_companion_row_zero_matches_the_full_recursion(m, rho):
+    # row i of G_n is row 0 of G_(n+i): the state computes row 0 alone
+    assert gn_sequence(m, 0)._lag == m.rank
+    assert_matches_the_slow_path(m, rho)
+
+
+@pytest.mark.parametrize(
+    "rows, p, pulled",
+    [
+        ([["0", "2", "0"], ["0", "0", "2"], ["1/(1+x)", "x", "2/x"]], 3, False),
+        ([["0", "1", "x"], ["0", "0", "1"], ["1/(1+x)", "x", "2/x"]], 3, False),
+        ([["0", "1"], ["1/(1+x)", "3"]], 2, True),
+    ],
+    ids=["superdiagonal-2", "extra-entry", "pulled-companion"],
+)
+def test_near_companion_modules_compute_every_row(rows, p, pulled):
+    m = DiffModule(Prime(p), RFMatrix.from_strings(rows), I01)
+    if pulled:
+        assert gn_sequence(m, 0)._lag == m.rank
+        m = frobenius_pullback(m, 1)
+    assert gn_sequence(m, 0)._lag == 1
+    assert_matches_the_slow_path(m, F(1, 3))
 
 
 @pytest.fixture(scope="module")
