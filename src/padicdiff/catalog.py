@@ -1,23 +1,15 @@
 """Built-in example modules with closed-form expectations.
 
 These entries are oracles: their parameters are restricted so that the
-expected polygon is provably exact.
-
-* ``zero``          G = (0); log R = rho everywhere (Robba).
-* ``exp``           G = (alpha), alpha a nonzero rational; the solution is
-                    the exponential of alpha*x and log R = min(rho, c) with
-                    c = log_pi - log|alpha|.
-* ``euler``         G = (a/x) with |a|_p > 1, so |a - k| = |a| for every
-                    integer k and log R = rho + log_pi - log|a| (slope 1).
-* ``companion``     companion module of a user-supplied coefficient list
-                    (no expected polygon).
-* ``pullback-exp``  h-fold ramification pullback of ``exp``; used by the
-                    radius-relation checks, which handle its own exclusions
-                    (no expected polygon on arbitrary intervals).
+expected polygon is provably exact.  Each family is declared once, in
+``FAMILIES``, which ``catalog_names``, ``catalog_summaries``,
+``catalog_get`` and the ``catalog`` command read; its maker below states
+the closed form.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -28,6 +20,8 @@ from .errors import InputError
 from .laurent import LaurentPoly, RationalFunction, parse_rational_function
 
 __all__ = ["CatalogEntry", "catalog_get", "catalog_names", "catalog_summaries"]
+
+Segments = list[tuple[Fraction, Fraction]]
 
 
 @dataclass(frozen=True)
@@ -42,162 +36,165 @@ class CatalogEntry:
 
     name: str
     p: Prime
-    params: dict
     summary: str
     provenance: str
     expected_boundedness: Optional[str]
-    _build: Callable[[Interval], DiffModule] = field(repr=False)
-    _expected: Optional[Callable[[Interval], list[tuple[Fraction, Fraction]]]] = field(
-        default=None, repr=False
-    )
-
-    def build(self, interval: Interval) -> DiffModule:
-        return self._build(interval)
-
-    def expected_segments(self, interval: Interval) -> Optional[list[tuple[Fraction, Fraction]]]:
-        return None if self._expected is None else self._expected(interval)
+    params: dict
+    build: Callable[[Interval], DiffModule] = field(repr=False)
+    expected_segments: Callable[[Interval], Optional[Segments]] = field(repr=False)
 
 
-def _scalar_module(p: Prime, entry: RationalFunction, interval: Interval) -> DiffModule:
-    return DiffModule(p, RFMatrix([[entry]]), interval)
+def _scalar(p: Prime, entry: RationalFunction) -> Callable[[Interval], DiffModule]:
+    return lambda interval: DiffModule(p, RFMatrix([[entry]]), interval)
 
 
-def _clip_two_piece(
-    interval: Interval, breakpoint: Fraction, flat_level: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Segments of min(rho, flat_level) over the interval (breakpoint = flat_level)."""
-    if interval.hi <= breakpoint:
+def _clip_two_piece(interval: Interval, level: Fraction) -> Segments:
+    """Segments of min(rho, level) over the interval."""
+    if interval.hi <= level:
         return [(Fraction(1), Fraction(0))]
-    if interval.lo >= breakpoint:
-        return [(Fraction(0), flat_level)]
-    return [(Fraction(1), Fraction(0)), (Fraction(0), flat_level)]
+    if interval.lo >= level:
+        return [(Fraction(0), level)]
+    return [(Fraction(1), Fraction(0)), (Fraction(0), level)]
+
+
+# One maker per family: its keyword parameters are those the family takes.
+# It validates them eagerly and returns the parameters as stored, the module
+# builder and the expected segments (None: no closed form).
+
+
+def _zero(p: Prime):
+    """G = (0); log R = rho everywhere (Robba)."""
+    return {}, _scalar(p, RationalFunction.zero()), lambda interval: [(Fraction(1), Fraction(0))]
+
+
+def _exp(p: Prime, alpha: Rational = 1):
+    """G = (alpha), alpha a nonzero rational; the solution is the exponential
+    of alpha*x and log R = min(rho, c) with c = log_pi - log|alpha|."""
+    alpha = Fraction(alpha)
+    if alpha == 0:
+        raise InputError("exp needs alpha != 0")
+    level = p.log_pi - log_abs(alpha, p)
+    build = _scalar(p, RationalFunction.constant(alpha))
+    return {"alpha": alpha}, build, lambda interval: _clip_two_piece(interval, level)
+
+
+def _euler(p: Prime, a: Optional[Rational] = None):
+    """G = (a/x) with |a|_p > 1, so |a - k| = |a| for every integer k and
+    log R = rho + log_pi - log|a| (slope 1)."""
+    if a is None:
+        raise InputError("euler needs the parameter a")
+    a = Fraction(a)
+    if a == 0 or log_abs(a, p) <= 0:
+        raise InputError("euler needs |a|_p > 1 so that |a - k| = |a| for integers k")
+    intercept = p.log_pi - log_abs(a, p)
+    build = _scalar(p, RationalFunction(LaurentPoly.x(-1, a)))
+    return {"a": a}, build, lambda interval: [(Fraction(1), intercept)]
+
+
+def _companion(p: Prime, q: Sequence[Union[str, RationalFunction]] = ()):
+    """Companion module of a user-supplied coefficient list (no expected
+    polygon)."""
+    if not q:
+        raise InputError("companion needs a nonempty coefficient list q")
+    coeffs = tuple(
+        e if isinstance(e, RationalFunction) else parse_rational_function(str(e)) for e in q
+    )
+    return {"q": coeffs}, lambda interval: companion_of(p, coeffs, interval), lambda interval: None
+
+
+def _pullback_exp(p: Prime, alpha: Rational = 1, h: int = 1):
+    """h-fold ramification pullback of exp; used by the radius-relation
+    checks, which handle its own exclusions (no expected polygon on
+    arbitrary intervals)."""
+    if h < 1:
+        raise InputError("pullback-exp needs h >= 1")
+    stored, base, _ = _exp(p, alpha)
+    scale = p.p**h
+
+    def build(interval: Interval) -> DiffModule:
+        return frobenius_pullback(base(interval.scaled(scale)), h)
+
+    return {**stored, "h": h}, build, lambda interval: None
+
+
+@dataclass(frozen=True)
+class Family:
+    """One catalog family: its entries come from ``make(p, **params)``, and
+    the ``catalog`` command shows its ``example`` parameters, if it has any."""
+
+    summary: str
+    provenance: str
+    expected_boundedness: Optional[str]
+    example: Optional[dict]
+    make: Callable
+
+    @property
+    def takes(self) -> tuple[str, ...]:
+        """The parameters the family takes: the maker's, after the prime."""
+        return tuple(inspect.signature(self.make).parameters)[1:]
+
+
+FAMILIES = {
+    "zero": Family(
+        summary="zero matrix; Robba (log R = rho), slope 1, intercept 0",
+        provenance="definition: the identity solution matrix converges like x itself",
+        expected_boundedness=None,
+        example={},
+        make=_zero,
+    ),
+    "exp": Family(
+        summary="constant matrix (alpha); log R = min(rho, log_pi - log|alpha|)",
+        provenance="closed form: |n!|^(1/n) tends to the Dwork level, so "
+        "log R = min(rho, log_pi - log|alpha|)",
+        expected_boundedness="bounded-plateau",
+        example={"alpha": 1},
+        make=_exp,
+    ),
+    "euler": Family(
+        summary="matrix (a/x), |a|_p > 1; log R = rho + log_pi - log|a|, slope 1",
+        provenance="closed form: ||G_n|| = (|a|/r)^n when |a| beats every "
+        "integer, giving slope 1 and intercept log_pi - log|a|",
+        expected_boundedness="bounded-plateau",
+        example={"a": Fraction(1, 2)},
+        make=_euler,
+    ),
+    "companion": Family(
+        summary="companion module of a supplied coefficient list",
+        provenance="user supplied; no closed-form polygon",
+        expected_boundedness=None,
+        example=None,
+        make=_companion,
+    ),
+    "pullback-exp": Family(
+        summary="h-fold ramification pullback of exp(alpha)",
+        provenance="constructed; the radius relation holds where the "
+        "ramification hypothesis does, checked with exclusions",
+        expected_boundedness="bounded-plateau",
+        example={"alpha": 1, "h": 1},
+        make=_pullback_exp,
+    ),
+}
 
 
 def catalog_names() -> list[str]:
-    return ["zero", "exp", "euler", "companion", "pullback-exp"]
+    return list(FAMILIES)
 
 
 def catalog_summaries() -> dict[str, str]:
-    return {
-        "zero": "zero matrix; Robba (log R = rho), slope 1, intercept 0",
-        "exp": "constant matrix (alpha); log R = min(rho, log_pi - log|alpha|)",
-        "euler": "matrix (a/x), |a|_p > 1; log R = rho + log_pi - log|a|, slope 1",
-        "companion": "companion module of a supplied coefficient list",
-        "pullback-exp": "h-fold ramification pullback of exp(alpha)",
-    }
+    return {name: family.summary for name, family in FAMILIES.items()}
 
 
-def catalog_get(
-    name: str,
-    p: Union[int, Prime],
-    alpha: Rational = 1,
-    a: Rational = None,
-    h: int = 1,
-    q: Sequence[Union[str, RationalFunction]] = (),
-    var: str = "x",
-) -> CatalogEntry:
-    """Look up a catalog entry; parameters are validated eagerly."""
+def catalog_get(name: str, p: Union[int, Prime], **params) -> CatalogEntry:
+    """Look up a catalog entry.  ``params`` are keyword parameters of the
+    family's maker, validated eagerly; one the family does not take is an
+    error."""
     p = as_prime(p)
-    log_pi = p.log_pi
-
-    if name == "zero":
-        return CatalogEntry(
-            name="zero",
-            p=p,
-            params={},
-            summary=catalog_summaries()["zero"],
-            provenance="definition: the identity solution matrix converges like x itself",
-            expected_boundedness=None,
-            _build=lambda interval: _scalar_module(
-                p, RationalFunction.zero(), interval
-            ),
-            _expected=lambda interval: [(Fraction(1), Fraction(0))],
-        )
-
-    if name == "exp":
-        alpha = Fraction(alpha)
-        if alpha == 0:
-            raise InputError("exp needs alpha != 0")
-        level = log_pi - log_abs(alpha, p)
-        return CatalogEntry(
-            name="exp",
-            p=p,
-            params={"alpha": alpha},
-            summary=catalog_summaries()["exp"],
-            provenance="closed form: |n!|^(1/n) tends to the Dwork level, so "
-            "log R = min(rho, log_pi - log|alpha|)",
-            expected_boundedness="bounded-plateau",
-            _build=lambda interval: _scalar_module(
-                p, RationalFunction.constant(alpha), interval
-            ),
-            _expected=lambda interval: _clip_two_piece(interval, level, level),
-        )
-
-    if name == "euler":
-        if a is None:
-            raise InputError("euler needs the parameter a")
-        a = Fraction(a)
-        if a == 0 or log_abs(a, p) <= 0:
-            raise InputError("euler needs |a|_p > 1 so that |a - k| = |a| for integers k")
-        intercept = log_pi - log_abs(a, p)
-        return CatalogEntry(
-            name="euler",
-            p=p,
-            params={"a": a},
-            summary=catalog_summaries()["euler"],
-            provenance="closed form: ||G_n|| = (|a|/r)^n when |a| beats every "
-            "integer, giving slope 1 and intercept log_pi - log|a|",
-            expected_boundedness="bounded-plateau",
-            _build=lambda interval: _scalar_module(
-                p,
-                RationalFunction(LaurentPoly.x(-1, a)),
-                interval,
-            ),
-            _expected=lambda interval: [(Fraction(1), intercept)],
-        )
-
-    if name == "companion":
-        if not q:
-            raise InputError("companion needs a nonempty coefficient list q")
-        coeffs = [
-            e if isinstance(e, RationalFunction) else parse_rational_function(str(e), var)
-            for e in q
-        ]
-        return CatalogEntry(
-            name="companion",
-            p=p,
-            params={"q": tuple(coeffs)},
-            summary=catalog_summaries()["companion"],
-            provenance="user supplied; no closed-form polygon",
-            expected_boundedness=None,
-            _build=lambda interval: companion_of(p, coeffs, interval, var),
-            _expected=None,
-        )
-
-    if name == "pullback-exp":
-        if h < 1:
-            raise InputError("pullback-exp needs h >= 1")
-        alpha = Fraction(alpha)
-        if alpha == 0:
-            raise InputError("pullback-exp needs alpha != 0")
-        scale = p.p**h
-
-        def build(interval: Interval) -> DiffModule:
-            base = _scalar_module(
-                p, RationalFunction.constant(alpha), interval.scaled(scale)
-            )
-            return frobenius_pullback(base, h)
-
-        return CatalogEntry(
-            name="pullback-exp",
-            p=p,
-            params={"alpha": alpha, "h": h},
-            summary=catalog_summaries()["pullback-exp"],
-            provenance="constructed; the radius relation holds where the "
-            "ramification hypothesis does, checked with exclusions",
-            expected_boundedness="bounded-plateau",
-            _build=build,
-            _expected=None,
-        )
-
-    raise InputError(f"unknown catalog entry {name!r}; known: {', '.join(catalog_names())}")
+    family = FAMILIES.get(name)
+    if family is None:
+        raise InputError(f"unknown catalog entry {name!r}; known: {', '.join(FAMILIES)}")
+    unknown = sorted(set(params) - set(family.takes))
+    if unknown:
+        takes = ", ".join(family.takes) or "no parameters"
+        raise InputError(f"{name} does not take {', '.join(map(repr, unknown))}; it takes {takes}")
+    described = (family.summary, family.provenance, family.expected_boundedness)
+    return CatalogEntry(name, p, *described, *family.make(p, **params))

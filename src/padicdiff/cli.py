@@ -12,7 +12,9 @@ pullback  writes the ramification pullback as a new module definition
 catalog   lists the built-in example families
 
 A module comes either from a config file (``--config``) or from the catalog
-(``--catalog NAME`` plus parameters).  Config files are INI-style::
+(``--catalog NAME`` plus its parameter flags; a flag the family does not
+take is an error, except ``--h``, which is also the pullback order).
+Config files are INI-style::
 
     [module]
     p = 2
@@ -58,7 +60,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arith import MAX_DIGITS, Interval, as_prime, log_abs
-from .catalog import catalog_get, catalog_names, catalog_summaries
+from .catalog import FAMILIES, catalog_get
 from .diagnostics import (
     INCONCLUSIVE,
     VERDICT_UNCLEAR,
@@ -242,15 +244,16 @@ def _module_from_args(args) -> tuple[DiffModule, dict]:
             raise InputError("--catalog needs --p")
         p = as_prime(args.p)
         interval = _interval_from_texts(p.p, args.interval, args.log_interval)
-        entry = catalog_get(
-            args.catalog,
-            p,
-            alpha=_parse_fraction(args.alpha) if args.alpha else 1,
-            a=_parse_fraction(args.a) if args.a else None,
-            h=args.h if args.h else 1,
-            q=tuple(args.q or ()),
-        )
-        return entry.build(interval), {}
+        # only the family flags given; --h is also the frobenius/pullback
+        # order, so it reaches only a family that takes it
+        given = {"alpha": args.alpha, "a": args.a}
+        params = {k: _parse_fraction(v) for k, v in given.items() if v is not None}
+        if args.q is not None:
+            params["q"] = tuple(args.q)
+        takes = FAMILIES[args.catalog].takes if args.catalog in FAMILIES else ()
+        if args.h is not None and "h" in takes:
+            params["h"] = args.h
+        return catalog_get(args.catalog, p, **params).build(interval), {}
     raise InputError("a module is required: --config FILE or --catalog NAME")
 
 
@@ -416,20 +419,13 @@ def _cmd_pullback(args, cfg: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args, cfg=None) -> int:
-    # canonical instantiations so expected values are concrete
-    shown = {
-        "zero": catalog_get("zero", 2),
-        "exp": catalog_get("exp", 2, alpha=1),
-        "euler": catalog_get("euler", 2, a=Fraction(1, 2)),
-        "companion": None,
-        "pullback-exp": catalog_get("pullback-exp", 2, alpha=1, h=1),
-    }
+    # each family's example parameters at p = 2, so expected values are concrete
     window = Interval(-2, 2)
     entries = []
-    for name in catalog_names():
-        entry = shown[name]
-        info = {"name": name, "summary": catalog_summaries()[name]}
-        if entry is not None:
+    for name, family in FAMILIES.items():
+        info = {"name": name, "summary": family.summary}
+        if family.example is not None:
+            entry = catalog_get(name, 2, **family.example)
             segments = entry.expected_segments(window)
             info["example_params"] = {k: frac_str(v) for k, v in entry.params.items()}
             info["expected_segments_on_(-2,2)"] = (
@@ -484,9 +480,9 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config", help="INI module definition")
     src.add_argument("--catalog", help="catalog entry name")
     src.add_argument("--p", type=int, help="prime (with --catalog)")
-    src.add_argument("--alpha", help="exp / pullback-exp parameter")
-    src.add_argument("--a", help="euler parameter")
-    src.add_argument("--q", action="append", help="companion coefficient (repeatable)")
+    src.add_argument("--alpha", help="catalog parameter alpha")
+    src.add_argument("--a", help="catalog parameter a")
+    src.add_argument("--q", action="append", help="catalog coefficient q (repeatable)")
     src.add_argument("--interval", help="radii 'r1, r2'")
     src.add_argument("--log-interval", dest="log_interval", help="log-radii 'lo, hi'")
 
@@ -499,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol", dest="tolerance", type=float)
     run.add_argument("--rho", help="log-radius for norms/bounded/radius")
     run.add_argument("--log-r", dest="log_r", help="log R for bounded")
-    run.add_argument("--h", type=int, help="pullback order")
+    run.add_argument("--h", type=int, help="pullback order (and catalog parameter h)")
     run.add_argument("--seed", type=int)
     run.add_argument("--unnormalized", action="store_true", help="drop the n! factor")
 

@@ -299,8 +299,8 @@ class RecursionState:
     any other module computes all mu rows, lag = 1.  The loop is the same:
     each step m -> m + 1 extends the newest mu/lag rows of S_m.
 
-    The state keeps only the newest window, n = ``depth``, which ``P()`` and
-    ``term_matrix()`` describe: the mu rows of S_n, or row 0 of S_n, ...,
+    The state keeps only the newest window, n = ``depth``, which
+    ``term_matrix()`` describes: the mu rows of S_n, or row 0 of S_n, ...,
     S_(n+mu-1).  For every step m it keeps the upper hull of the points
     (exponent, -v), v the minimal valuation of that exponent's coefficient
     across the entries computed at step m: only hull vertices can attain the
@@ -445,30 +445,18 @@ class RecursionState:
 
     # -- exact view of the current step ----------------------------------------
 
-    def P(self) -> list[list[LaurentPoly]]:
-        """Numerator matrix with G_n = P() / Q^n for n = ``depth``, exact
-        rational coefficients.  Row i is S_n[i] / d^n or, when only row 0 is
-        computed, S_(n+i)[0] / (d^(n+i) Q^i), an exact division."""
-        n, g, per_step = self.depth, self._g, self.rank // self._lag
-        out = []
-        for i, row in enumerate(self._S[-1]):
-            k = i // per_step  # the row was computed at step n + k
-            scale, qk = Fraction(1, self.d ** (n + k)), (self.Q**k).coeffs
-            out.append(
-                [
-                    LaurentPoly(
-                        _exact_quotient({c.lo + g * t: v * scale for t, v in enumerate(c) if v}, qk)
-                    )
-                    for c in row
-                ]
-            )
-        return out
-
     def term_matrix(self) -> RFMatrix:
-        """G_n for n = ``depth`` as a matrix of rational functions (unreduced
-        P()/Q^n)."""
-        qn = self.Q**self.depth
-        return RFMatrix([[RationalFunction(pe, qn) for pe in row] for row in self.P()])
+        """G_n for n = ``depth`` as a matrix of rational functions, unreduced:
+        row i is S_m's row over d^m Q^m, m = n + i // (rows per step), so
+        m = n for every row, or m = n + i when only row 0 is computed."""
+        n, g, per_step = self.depth, self._g, self.rank // self._lag
+        rows = []
+        for i, row in enumerate(self._S[-1]):
+            m = n + i // per_step
+            den = self.Q**m * self.d**m
+            polys = (LaurentPoly({c.lo + g * t: v for t, v in enumerate(c)}) for c in row)
+            rows.append([RationalFunction(pe, den) for pe in polys])
+        return RFMatrix(rows)
 
     # -- norms ----------------------------------------------------------------
 
@@ -509,18 +497,6 @@ class RecursionState:
             ]
         nums = [None if v is None else v + t * fact for v, t in zip(best, self._n_minus_sp)]
         return nums, den
-
-
-def _exact_quotient(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    """a / b for a Laurent polynomial a and a polynomial b with a nonzero
-    constant term; raises ArithmeticError when b does not divide a."""
-    if not a:
-        return {}
-    s = min(a)
-    quo, rem = _poly_divmod({e - s: v for e, v in a.items()}, b)
-    if rem:
-        raise ArithmeticError("the recursion state's row does not divide exactly")
-    return {e + s: v for e, v in quo.items()}
 
 
 def _trimmed(acc: list[int], lo: int, g: int) -> _Coeffs:
@@ -586,7 +562,10 @@ def gn_sequence(
     budget: int = DEFAULT_COEFF_BUDGET,
 ) -> RecursionState:
     """The module's one Taylor recursion state, cached on the module and grown
-    to ``depth`` under this call's coefficient budget."""
+    to ``depth`` under this call's coefficient budget.
+
+    A state grown earlier may be deeper than ``depth``: ``term_matrix()``
+    describes G_n for n = ``state.depth``, not for the ``depth`` asked for."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
     state = module._state

@@ -63,6 +63,22 @@ def test_unknown_name():
         catalog_get("bessel", 2)
 
 
+@pytest.mark.parametrize(
+    "name, params, named",
+    [
+        ("exp", {"a": 3}, "'a'"),
+        ("zero", {"alpha": 1}, "'alpha'"),
+        ("euler", {"a": F(1, 2), "h": 2}, "'h'"),
+        ("companion", {"q": ("1",), "alpha": 1}, "'alpha'"),
+        ("pullback-exp", {"alpha": 1, "q": ("1",)}, "'q'"),
+        ("exp", {"alpha": 1, "var": "t"}, "'var'"),
+    ],
+)
+def test_parameter_the_family_does_not_take(name, params, named):
+    with pytest.raises(InputError, match=named):
+        catalog_get(name, 2, **params)
+
+
 def test_expected_values_reproduced_by_pipeline():
     cases = [
         (catalog_get("zero", 2), Interval(-1, 1)),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from padicdiff import cli
+from padicdiff.catalog import catalog_names
 from padicdiff.cli import log_radius_of, main
 from padicdiff.errors import BudgetExceededError
 
@@ -61,6 +63,16 @@ def test_catalog_command(capsys):
     assert code == 0
     assert doc["kind"] == "catalog"
     assert [e["name"] for e in doc["entries"]][0] == "zero"
+
+
+# sha256 of the catalog report: every family's summary, example parameters,
+# closed form on (-2, 2), boundedness and provenance
+CATALOG_SHA256 = "9e53ffea5d8149db1e09a5c65af56c2bf5f9a815f4e2a948c95dde9ce8542f87"
+
+
+def test_catalog_report_bytes_are_pinned(capsys):
+    assert main(["catalog"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CATALOG_SHA256
 
 
 def test_radius_from_config(capsys, config_file):
@@ -290,6 +302,10 @@ def test_pole_on_annulus_rejected(tmp_path, capsys):
 MODULE = "[module]\np = 2\nmatrix =\n    0, 1\n    1/x, 0\ninterval = 1/2, 2\n"
 
 
+# a catalog module on radii (1, 4) at rho = 1; the family name follows
+_FAMILY = ["--p", "2", "--interval", "1, 4", "--rho", "1", "--depth", "16", "--catalog"]
+
+
 def assert_one_json_error(err, error_type=None):
     assert err.count("\n") == 1, err
     doc = json.loads(err)
@@ -376,6 +392,22 @@ def case(config, argv, error_type, named, id):
              "catalog-without-p"),
         case(None, ["radius", "--config", "missing.ini"], "InputError", "missing.ini",
              "config-file-missing"),
+        case(None, ["radius", *_FAMILY, "exp", "--alpha", ""], "InputError", "''",
+             "catalog-alpha-empty"),
+        case(None, ["radius", *_FAMILY, "euler", "--a", ""], "InputError", "''",
+             "catalog-a-empty"),
+        case(None, ["radius", *_FAMILY, "exp", "--alpha", "1", "--q", "5"], "InputError",
+             "'q'", "catalog-exp-q"),
+        case(None, ["radius", *_FAMILY, "exp", "--a", "1/2"], "InputError", "'a'",
+             "catalog-exp-a"),
+        case(None, ["radius", *_FAMILY, "zero", "--alpha", "1"], "InputError", "'alpha'",
+             "catalog-zero-alpha"),
+        case(None, ["radius", *_FAMILY, "euler", "--a", "1/2", "--alpha", "3"], "InputError",
+             "'alpha'", "catalog-euler-alpha"),
+        case(None, ["radius", *_FAMILY, "companion", "--q", "1", "--a", "1/2"], "InputError",
+             "'a'", "catalog-companion-a"),
+        case(None, ["radius", *_FAMILY, "pullback-exp", "--q", "1"], "InputError", "'q'",
+             "catalog-pullback-exp-q"),
         case("[run]\ndepth = 16\n", ["radius"], "InputError", "[module]", "no-module-section"),
         case("[module]\np = 2\ninterval = 1/2, 2\n", ["radius"], "InputError", "matrix",
              "module-without-matrix"),
@@ -463,6 +495,20 @@ def test_parser_is_built_once_and_parses_afresh(capsys):
     assert orders == [2, 1]
 
 
+@pytest.mark.parametrize(
+    "family, flags",
+    [("zero", []), ("exp", []), ("euler", ["--a", "1/2"]), ("companion", ["--q", "1"]),
+     ("pullback-exp", ["--alpha", "1"])],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_h_is_legal_with_every_family(capsys, family, flags):
+    # --h is also the pullback order, so a family that does not take it ignores it
+    code = main(["pullback", *_FAMILY, family, *flags, "--h", "2"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out.startswith("[module]\np = 2\n")
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -543,5 +589,46 @@ def test_fuzz_module_matrix_fails_closed(tmp_path, capsys, cells):
     code = main(["pullback", "--config", str(path), "--h", "1"])
     err = capsys.readouterr().err
     assert code in (0, 1)
+    if code == 1:
+        assert_one_json_error(err)
+
+
+# family flags: the empty string and short junk, and known-good values mixed
+# in, so that some examples run a command to the end; companion coefficients
+# are short, since the coefficient budget does not bound the size of a
+# coefficient such as (1+x)^1000
+_FLAG_VALUES = st.one_of(
+    st.sampled_from(["1", "1/2", "-3", "0", "", " ", "2e3", "x", "1/0", "nan"]),
+    st.fractions(-4, 4, max_denominator=9).map(str),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=6),
+)
+_Q_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "x", "1/x", "2*x^2", "1/(1+x)", "", "1/0", "x^-1"]),
+    st.text("x0123+-*/^() ", max_size=4),
+)
+_FAMILY_FLAGS = st.one_of(
+    st.sampled_from(
+        [("--alpha", "1"), ("--alpha", "-1/3"), ("--a", "1/2"), ("--q", "-1"), ("--q", "1/x"),
+         ("--h", "1"), ("--h", "2")]
+    ),
+    st.tuples(st.sampled_from(["--alpha", "--a", "--h"]), _FLAG_VALUES),
+    st.tuples(st.just("--h"), st.integers(-1, 3).map(str)),
+    st.tuples(st.just("--q"), _Q_VALUES),
+)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    command=st.sampled_from(sorted(cli._COMMANDS)),
+    family=st.sampled_from([*catalog_names(), "bessel"]),
+    flags=st.lists(_FAMILY_FLAGS, max_size=3),
+)
+def test_fuzz_family_flags_fail_closed(capsys, command, family, flags):
+    argv = [command, *_FAMILY, family, "--grid", "3", *(f"{k}={v}" for k, v in flags)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
     if code == 1:
         assert_one_json_error(err)
