@@ -173,6 +173,19 @@ def log_radius_of(r: Fraction, p: int) -> Fraction:
     return Fraction(round(x * scale), scale)
 
 
+# the largest |log-radius| given as such (a log_interval end, --log-r): past
+# any that a radius of MAX_DIGITS digits has (below 14,285), and small enough
+# that the reports' floats, rho and the fits over b_n ~ n*rho, stay finite
+MAX_LOG_RADIUS = 10**5
+
+
+def _parse_log_radius(text: str, name: str) -> Fraction:
+    value = _parse_fraction(text)
+    if abs(value) > MAX_LOG_RADIUS:
+        raise InputError(f"{name} must lie within +-{MAX_LOG_RADIUS}")
+    return value
+
+
 def _interval_from_texts(
     p: int, interval: Optional[str], log_interval: Optional[str]
 ) -> Interval:
@@ -182,7 +195,7 @@ def _interval_from_texts(
         parts = [s for s in log_interval.split(",") if s.strip()]
         if len(parts) != 2:
             raise InputError("log_interval must be 'lo, hi'")
-        return Interval(_parse_fraction(parts[0]), _parse_fraction(parts[1]))
+        return Interval(*(_parse_log_radius(s, "log_interval ends") for s in parts))
     parts = [s for s in interval.split(",") if s.strip()]
     if len(parts) != 2:
         raise InputError("interval must be 'r1, r2'")
@@ -350,7 +363,7 @@ def _cmd_polygon(args, cfg: argparse.Namespace) -> int:
 def _cmd_bounded(args, cfg: argparse.Namespace) -> int:
     rho = _require_rho(cfg)
     if args.log_r is not None:
-        log_r = _parse_fraction(args.log_r)
+        log_r = _parse_log_radius(args.log_r, "--log-r")
     else:
         log_r = radius_estimate(cfg.module, rho, cfg.depth).tail_min
     report = bounded_report(cfg.module, rho, cfg.depth, log_r, cfg.tolerance)

@@ -63,6 +63,10 @@ __all__ = [
 DEFAULT_DEPTH = 256
 DEFAULT_COEFF_BUDGET = 5_000_000
 
+# the valuation bound of a zero column (or of a zero multiplier): above any
+# valuation a coefficient can have
+_NEVER = 1 << 62
+
 
 class RFMatrix:
     """Square-friendly matrix of rational functions (immutable)."""
@@ -305,10 +309,24 @@ class RecursionState:
     (exponent, -v), v the minimal valuation of that exponent's coefficient
     across the entries computed at step m: only hull vertices can attain the
     Gauss norm max(-v + e*rho), and a hull has a handful of vertices where
-    S_m has hundreds of exponents.  Each step builds its hull at once in one
-    aligned walk over the zero-padded lists, one ``arith.min_valuation`` gcd
-    per exponent, from both ends inwards to the first exponent of valuation
-    0 (``_hull_of``); every norm query reads every m anyway.  A query at rho
+    S_m has hundreds of exponents.  Each step builds its hull at once, as
+    every norm query reads every m anyway, valuing a column (the coefficients
+    of one exponent) with one ``arith.min_valuation`` gcd.  While S_m has a
+    column of valuation 0, one aligned walk over the zero-padded lists goes
+    from both ends inwards to the first column of valuation 0 (``_hull_of``).
+    Once the content of S_m is positive, as on a ramification pullback whose
+    d*Q*G terms all carry p^h, that stop never fires, and the content stays
+    positive, since S_(m+1) is an integer combination of S_m.  The state then
+    carries a lower bound on v for each column of the newest step: the first
+    such step values every column, and each later one bounds column e of
+    S_(m+1) by the min over the step's terms of bound(e - s) + v_p of the
+    term's multiplier (``_carried_bound``).  It values the end columns and
+    the highest bound points, vertices of the hull of the points (e, -bound),
+    then, while some column's bound point lies strictly above the hull of
+    the exact points found so far, the new vertices that those points add
+    (``_refined_hull``); valued columns carry their exact v into the next
+    step.  The hull stays exact: a true vertex lies strictly above the hull
+    of the other points, so its bound point does too.  A query at rho
     is integer work: ``log_norms`` returns one numerator per n over a single
     denominator, the max over m = n..n+lag-1 of log ||S_m / (d^m Q^m)||, and
     log_p |n!| = -(n - s_p(n))/(p - 1) comes from an int table of
@@ -366,6 +384,19 @@ class RecursionState:
         shifts = [s for row in self._pt for terms in row for s, _ in terms]
         shifts += [s for s, _, _ in self._qterms]
         self._g = math.gcd(*(s - shifts[0] for s in shifts)) or 1
+        # for the carried valuation bound (``_carried_bound``), each term's
+        # offset (s - least shift) / g: (offset, least v_p of a coefficient)
+        # over the terms of d*Q*G, and (offset, d*v, d*f*v) over those of Q
+        self._least_shift = least = min(shifts)
+        self._spread = (max(shifts) - least) // self._g
+        weights: dict[int, int] = {}
+        for row in self._pt:
+            for terms in row:
+                for s, v in terms:
+                    o, w = (s - least) // self._g, padic_valuation(v, self.p)
+                    weights[o] = min(weights.get(o, w), w)
+        self._gw = tuple(weights.items())
+        self._qw = tuple(((s - least) // self._g, dv, dfv) for s, dv, dfv in self._qterms)
 
         # a companion matrix (rows 0..mu-2 are e_1, ..., e_(mu-1)) needs row 0 alone
         companion = all(
@@ -385,6 +416,9 @@ class RecursionState:
         self._S: list[tuple[tuple[_Coeffs, ...], ...]] = [start]
         self._coeff_count = per_step
         self._hulls: list[list[tuple[int, int]]] = [[(0, 0)]]
+        # (lo, bound): a lower bound on v_p of each column lo + g*k of the
+        # newest step, kept while the content of S_m is positive
+        self._bound: Optional[tuple[int, list[int]]] = None
         self._n_minus_sp = [0]
         self._vp_d = padic_valuation(d, self.p)
         self.extend(depth)
@@ -403,7 +437,15 @@ class RecursionState:
                 tuple(self._next_entry(Si, j, m) for j in range(mu)) for Si in window[-per_step:]
             )
             self._S[-1] = (window + new_rows)[-mu:]
-            self._hulls.append(_hull_of(new_rows, g, p))
+            hull = self._hulls[m]
+            # S_(m+1) is an integer combination of S_m, so the content never
+            # falls: a carried bound means it is still positive
+            if self._bound is not None or hull and max(y for _, y in hull) < 0:
+                hull = self._bounded_hull(new_rows, m)
+            else:
+                self._bound = None
+                hull = _hull_of(new_rows, g, p)
+            self._hulls.append(hull)
             self._n_minus_sp.append(m + 1 - digit_sum(m + 1, p))
             self._coeff_count += sum(len(c) - c.count(0) for row in new_rows for c in row)
             if self._coeff_count > self.budget:
@@ -411,6 +453,49 @@ class RecursionState:
                     f"recursion stopped at n={m + 1}: {self._coeff_count} "
                     f"coefficients computed exceed budget {self.budget}"
                 )
+
+    def _bounded_hull(self, rows, m: int) -> list[tuple[int, int]]:
+        """The hull of step m + 1 when S_m has positive content: every column
+        of S_(m+1) then has v > 0, so ``_hull_of`` would value them all.
+        The first such step values every column; each later one carries the
+        previous step's bound through the step and values only the columns
+        that ``_refined_hull`` cannot rule out."""
+        entries = [c for row in rows for c in row if c]
+        if not entries:
+            self._bound = None
+            return []
+        g, p = self._g, self.p
+        lo = min(c.lo for c in entries)
+        if self._bound is None:
+            columns = _columns(entries, lo, g)
+            bound = [min_valuation(col, p) if any(col) else _NEVER for col in columns]
+            hull = upper_hull([(lo + g * k, -v) for k, v in enumerate(bound) if v != _NEVER])
+        else:
+            size = (max(c.lo + g * (len(c) - 1) for c in entries) - lo) // g + 1
+            bound = self._carried_bound(m, lo, size)
+            hull = _refined_hull(entries, lo, bound, g, p)
+        self._bound = (lo, bound)
+        return hull
+
+    def _carried_bound(self, m: int, lo: int, size: int) -> list[int]:
+        """A lower bound on v_p of the columns lo + g*k, k < size, of S_(m+1):
+        the min over the step's terms of the bound at the source column plus
+        v_p of the term's multiplier, the coefficient of a d*Q*G term or the
+        Q-term ramp d*v*(e' - m*f) at the source exponent e'."""
+        g, p = self._g, self.p
+        blo, bound = self._bound
+        n = len(bound)
+        # over every exponent a term can reach, blo + least shift onwards
+        out = [_NEVER] * (n + self._spread)
+        for o, w in self._gw:
+            out[o : o + n] = [x if x <= y + w else y + w for x, y in zip(out[o : o + n], bound)]
+        for o, dv, dfv in self._qw:
+            ramp = _ramp_valuations(dv * blo - m * dfv, dv * g, n, p)
+            out[o : o + n] = [
+                x if x <= y + r else y + r for x, y, r in zip(out[o : o + n], bound, ramp)
+            ]
+        a = (lo - blo - self._least_shift) // g
+        return out[a : a + size]
 
     def _next_entry(self, Si: Sequence[_Coeffs], j: int, n: int) -> _Coeffs:
         """Entry (i, j) of S_{n+1} from row i of S_n:
@@ -511,6 +596,11 @@ def _trimmed(acc: list[int], lo: int, g: int) -> _Coeffs:
     return _Coeffs(acc[a:b], lo + g * a)
 
 
+def _columns(entries: Sequence[_Coeffs], lo: int, g: int) -> list[tuple[int, ...]]:
+    """The coefficients of x^(lo + g*k) across the entries, for each k."""
+    return list(zip_longest(*([0] * ((c.lo - lo) // g) + c for c in entries), fillvalue=0))
+
+
 def _hull_of(rows, g: int, p: Prime) -> list[tuple[int, int]]:
     """Upper hull of (e, -min v_p) over the exponents e with a nonzero
     coefficient in some entry, walking the entries' lists side by side.
@@ -522,7 +612,7 @@ def _hull_of(rows, g: int, p: Prime) -> list[tuple[int, int]]:
     if not entries:
         return []
     lo = min(c.lo for c in entries)
-    columns = list(zip_longest(*([0] * ((c.lo - lo) // g) + c for c in entries), fillvalue=0))
+    columns = _columns(entries, lo, g)
 
     def walk(ks):
         for k in ks:
@@ -536,6 +626,77 @@ def _hull_of(rows, g: int, p: Prime) -> list[tuple[int, int]]:
     left = list(walk(range(len(columns))))
     right = list(walk(range(len(columns) - 1, (left[-1][0] - lo) // g, -1)))
     return upper_hull(left + right[::-1])
+
+
+def _refined_hull(
+    entries: Sequence[_Coeffs], lo: int, bound: list[int], g: int, p: Prime
+) -> list[tuple[int, int]]:
+    """Upper hull of (e, -min v_p) over the nonzero columns lo + g*k, given a
+    lower bound on each column's v; the bound is raised in place to the
+    exact v of every column valued, and to ``_NEVER`` for a zero column.
+
+    It values the two end columns and the first and last of least bound,
+    which are vertices of the hull of the bound points (e, -bound).  Then,
+    while some column's bound point lies strictly above the hull H of the
+    exact points valued so far, it values the vertices of the hull of H and
+    those bound points.  A column whose bound point is on or below H has
+    its exact point there too, so H is then the exact hull."""
+    n = len(bound)
+    starts = [(c, (c.lo - lo) // g) for c in entries]
+    least = min(bound)
+    todo = {0, n - 1, bound.index(least), n - 1 - bound[::-1].index(least)}
+    valued: set[int] = set()
+    while todo:
+        for k in todo:
+            col = [c[k - o] for c, o in starts if 0 <= k - o < len(c)]
+            bound[k] = min_valuation(col, p) if any(col) else _NEVER
+        valued |= todo
+        hull = upper_hull([(k, -bound[k]) for k in sorted(valued) if bound[k] != _NEVER])
+        segments = zip(hull, hull[1:])
+        above = [k for (k1, y1), (k2, y2) in segments for k in _above(bound, k1, y1, k2, y2)]
+        if not above:
+            break
+        outer = upper_hull(sorted(hull + [(k, -bound[k]) for k in above]))
+        todo = {k for k, _ in outer} - valued
+    return [(lo + g * k, y) for k, y in hull]
+
+
+def _above(bound: list[int], k1: int, y1: int, k2: int, y2: int) -> list[int]:
+    """The k in [k1, k2] whose point (k, -bound[k]) lies strictly above the
+    segment from (k1, y1) to (k2, y2), k1 < k2, in integers: -bound[k]*D >
+    y1*D + (y2 - y1)*(k - k1) with D = k2 - k1."""
+    span, dy = k2 - k1, y2 - y1
+    limit = dy * k1 - y1 * span
+    return [k for k in range(k1, k2 + 1) if bound[k] * span + dy * k < limit]
+
+
+def _ramp_valuations(a: int, b: int, count: int, p: Prime) -> list[int]:
+    """v_p(a + b*k) for k = 0..count-1 (count >= 1, b != 0), ``_NEVER``
+    where a + b*k = 0.
+
+    With b = p^u*b' and p^u | a, v_p(a + b*k) = u + v_p(a' + b'*k), and as b'
+    is a unit mod p, a' + b'*k is divisible by p for one residue class of k
+    mod p alone: k = k0 + p*i, on which a' + b'*k = p*(a'' + b'*i).  So the
+    values are filled by one slice per power of p."""
+    q = p.p
+    vb = padic_valuation(b, p)
+    unit = q**vb
+    if a % unit:
+        return [padic_valuation(a, p)] * count
+    a, b = a // unit, b // unit
+    b_inv = pow(b, -1, q)
+    out = [vb] * count
+    start, step, base = 0, 1, vb
+    while count > 1:
+        k0 = -a * b_inv % q
+        count = len(range(k0, count, q))
+        if not count:
+            return out
+        a = (a + b * k0) // q
+        start, step, base = start + step * k0, step * q, base + 1
+        out[start::step] = [base] * count
+    out[start] = base + padic_valuation(a, p) if a else _NEVER
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,16 @@ def case(config, argv, error_type, named, id):
              "log_interval", "log-interval-one-value"),
         case(MODULE + "log_interval = -1, 1\n", ["radius"], "InputError", "exactly one",
              "interval-and-log-interval"),
+        case(MODULE.replace("interval = 1/2, 2", "log_interval = 1, 1e400"), ["polygon"],
+             "InputError", "100000", "log-interval-past-float-range"),
+        case(None, ["frobenius", "--catalog", "exp", "--p", "2", "--log-interval=1e200, 1e201",
+                    "--depth", "16", "--grid", "3"], "InputError", "100000",
+             "log-interval-squares-past-float-range"),
+        case(None, ["radius", "--catalog", "exp", "--p", "2", "--log-interval=-100001, 0",
+                    "--depth", "16", "--grid", "3"], "InputError", "100000",
+             "log-interval-past-limit"),
+        case(MODULE, ["bounded", "--rho", "0", "--log-r=-1e4000", "--depth", "16"], "InputError",
+             "100000", "log-r-past-float-range"),
         case(MODULE.replace("1/2, 2", "0, 2"), ["radius"], "InputError", "positive",
              "interval-radius-0"),
         case(MODULE.replace("0, 1\n", "0, 1/0\n"), ["radius"], "InputError", "division",
@@ -628,6 +638,52 @@ _FAMILY_FLAGS = st.one_of(
 def test_fuzz_family_flags_fail_closed(capsys, command, family, flags):
     argv = [command, *_FAMILY, family, "--grid", "3", *(f"{k}={v}" for k, v in flags)]
     code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert_one_json_error(err)
+
+
+# interval ends: the empty string, junk, zero and signs, values past the float
+# range and the digit limit, and known-good intervals mixed in
+_ENDS = st.one_of(
+    st.sampled_from(["1", "4", "1/2", "0", "-1", "", " ", "nan", "inf", "x", "1/0", "0.5",
+                     "1e5", "-1e5", "100001", "1e155", "1e400", "-1e400", "1e-400", "1e4000"]),
+    st.fractions(-4, 4, max_denominator=9).map(str),
+    st.integers(0, 5000).map(lambda k: f"1e{k}"),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=6),
+)
+_INTERVALS = st.one_of(
+    st.sampled_from(["1, 4", "1/2, 2", "-1, 1", "1/4, 4"]),
+    st.tuples(_ENDS, _ENDS).map(", ".join),
+    st.lists(_ENDS, max_size=3).map(",".join),
+)
+
+
+@settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    command=st.sampled_from(sorted(cli._COMMANDS)),
+    from_file=st.booleans(),
+    interval=st.none() | _INTERVALS,
+    log_interval=st.none() | _INTERVALS,
+    extra=st.sampled_from([[], ["--mode=float"], ["--rho=1/2"]]),
+)
+@example(command="polygon", from_file=False, interval=None, log_interval="1, 1e400", extra=[])
+@example(command="frobenius", from_file=True, interval=None, log_interval="1e200, 1e201", extra=[])
+def test_fuzz_intervals_fail_closed(tmp_path, capsys, command, from_file, interval, log_interval,
+                                    extra):
+    given_ends = [("interval", interval), ("log_interval", log_interval)]
+    if from_file:
+        path = tmp_path / "module.ini"
+        keys = "".join(f"{k} = {v}\n" for k, v in given_ends if v is not None)
+        path.write_text(MODULE.replace("interval = 1/2, 2\n", keys), encoding="utf-8")
+        source = ["--config", str(path)]
+    else:
+        source = ["--catalog", "exp", "--p", "2"]
+        source += [f"--{k.replace('_', '-')}={v}" for k, v in given_ends if v is not None]
+    code = main([command, *source, "--depth", "16", "--grid", "3", *extra])
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     if code == 1:

@@ -8,8 +8,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicdiff import arith
-from padicdiff.arith import Interval, Prime, log_abs, padic_valuation
+from padicdiff import arith, diffmod
+from padicdiff.arith import Interval, Prime, log_abs, min_valuation, padic_valuation, upper_hull
+from padicdiff.catalog import catalog_get
 from padicdiff.diagnostics import bounded_report
 from padicdiff.diffmod import (
     DiffModule,
@@ -298,6 +299,97 @@ def test_extending_in_two_calls_matches_one_call():
             assert as_fractions(two_calls.log_norms(rho, 48, include_factorial)) == as_fractions(
                 one_call.log_norms(rho, 48, include_factorial)
             )
+
+
+def exact_hull(state):
+    """The newest step's hull the slow way: ``upper_hull`` over every nonzero
+    column of the rows computed at that step, each valued by ``min_valuation``."""
+    columns = {}
+    for row in state._S[-1][-(state.rank // state._lag):]:
+        for c in row:
+            for k, v in enumerate(c):
+                columns.setdefault(c.lo + state._g * k, []).append(v)
+    return upper_hull(
+        [(e, -min_valuation(vs, state.p)) for e, vs in sorted(columns.items()) if any(vs)]
+    )
+
+
+def assert_every_hull_exact(m, depth):
+    """Grow the state one step at a time, checking each new hull; returns
+    whether the last step carried a bound, and the largest valuation that
+    any hull reached."""
+    for n in range(depth + 1):
+        state = gn_sequence(m, n)
+        assert state._hulls[-1] == exact_hull(state), n
+    return state._bound is not None, max(-y for hull in state._hulls for _, y in hull)
+
+
+def word_power_exponent(p):
+    """k of the word power p^k of ``min_valuation``."""
+    w, table = Prime(p)._word_power
+    return table[w]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_carried_bound_hulls_match_every_column_valued(p):
+    # every coefficient past S_0 is divisible by p, so each step after the
+    # first two carries the bound, and valuations pass the word power
+    k = word_power_exponent(p)
+    pulled = catalog_get("pullback-exp", p, alpha=1).build(Interval(-1, 1))
+    # a companion module, d = p: it computes row 0 alone, whose content grows
+    # by one every other step
+    companion = companion_of(p, [P(f"1/{p}"), P(f"x/{p}")], I01)
+    for m, depth in ((pulled, k + 2), (scalar_module(str(p**3), p=p), k // 3 + 2),
+                     (companion, 2 * k + 4)):
+        carried, top = assert_every_hull_exact(m, depth)
+        assert carried and top > k
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11]),
+    a=st.integers(-10**6, 10**6),
+    b=st.integers(1, 10**4).flatmap(lambda b: st.sampled_from([b, -b])),
+    unit_power=st.integers(0, 4),
+    count=st.integers(1, 300),
+    zero_at=st.none() | st.integers(0, 299),
+)
+def test_ramp_valuations_match_each_multiplier(p, a, b, unit_power, count, zero_at):
+    b *= p**unit_power
+    if zero_at is not None and zero_at < count:
+        a = -b * zero_at  # one multiplier is 0
+    want = [padic_valuation(a + b * k, p) if a + b * k else diffmod._NEVER for k in range(count)]
+    assert diffmod._ramp_valuations(a, b, count, Prime(p)) == want
+
+
+def test_carried_bound_hulls_match_on_pulled_modules():
+    carried = []
+
+    @settings(max_examples=12, deadline=None)
+    @given(case=small_modules())
+    def check(case):
+        m = frobenius_pullback(case[0], 1)
+        carried.append(assert_every_hull_exact(m, word_power_exponent(m.p.p) + 2)[0])
+
+    check()
+    # a coefficient denominator divisible by p can leave the content at 0
+    assert any(carried), carried
+
+
+def count_valuations(monkeypatch, module, depth):
+    calls = []
+    real = diffmod.min_valuation
+    monkeypatch.setattr(diffmod, "min_valuation", lambda vs, p: calls.append(1) or real(vs, p))
+    gn_sequence(module, depth)
+    return len(calls)
+
+
+def test_only_positive_content_carries_a_bound(monkeypatch):
+    # deep-rank3 has a column of valuation 0 at every step, so every hull is
+    # the two-ended walk: as many valuations as before the carried bound
+    assert count_valuations(monkeypatch, deep_rank3_module(), 128) == 4103
+    # the pulled sparse module has none past S_0; the walk valued all 9,408
+    # columns to depth 96
+    assert count_valuations(monkeypatch, frobenius_pullback(sparse_module(), 1), 96) < 1000
 
 
 def as_fractions(norms):
