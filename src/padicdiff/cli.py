@@ -126,6 +126,18 @@ def _tolerance(value) -> float:
     return value
 
 
+# the most grid points a run may ask for: ``Interval.interior_grid`` builds
+# them all at once, and each is one radius estimate
+MAX_GRID = 10_000
+
+
+def _grid(value) -> int:
+    value = int(value)
+    if value > MAX_GRID:
+        raise ValueError(f"must be at most {MAX_GRID}")
+    return value
+
+
 def _one_of(*allowed: str):
     def cast(value) -> str:
         if value not in allowed:
@@ -139,7 +151,7 @@ def _one_of(*allowed: str):
 # whose dest is the key overrides the file, and goes through the same cast.
 RUN_KEYS = {
     "depth": (int, 256),
-    "grid": (int, 17),
+    "grid": (_grid, 17),
     "max_denominator": (_positive_int, 32),
     "mode": (_one_of(EXACT, FLOAT), EXACT),
     "method": (_one_of(TAIL_MIN, TAIL_SLOPE), TAIL_MIN),

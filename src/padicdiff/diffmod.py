@@ -312,27 +312,31 @@ class RecursionState:
     S_m has hundreds of exponents.  Each step builds its hull at once, as
     every norm query reads every m anyway, valuing a column (the coefficients
     of one exponent) with one ``arith.min_valuation`` gcd.  While S_m has a
-    column of valuation 0, one aligned walk over the zero-padded lists goes
-    from both ends inwards to the first column of valuation 0 (``_hull_of``).
-    Once the content of S_m is positive, as on a ramification pullback whose
-    d*Q*G terms all carry p^h, that stop never fires, and the content stays
-    positive, since S_(m+1) is an integer combination of S_m.  The state then
-    carries a lower bound on v for each column of the newest step: the first
-    such step values every column, and each later one bounds column e of
-    S_(m+1) by the min over the step's terms of bound(e - s) + v_p of the
-    term's multiplier (``_carried_bound``).  It values the end columns and
-    the highest bound points, vertices of the hull of the points (e, -bound),
-    then, while some column's bound point lies strictly above the hull of
-    the exact points found so far, the new vertices that those points add
+    column of valuation 0, the walk (``_hull_of``) reads columns from the
+    right end to the last such column e0 when the closed interval reaches
+    rho > 0, and from the left end to the first one when it reaches rho < 0:
+    for rho >= 0 a column e < e0 has -v + e*rho <= e0*rho, and mirrored for
+    rho <= 0, so the hull is exact on the interval, the only rho that
+    ``log_norms`` accepts.  Once the content of S_m is positive, as on a
+    ramification pullback whose d*Q*G terms all carry p^h, that stop never
+    fires, and the content stays positive, since S_(m+1) is an integer
+    combination of S_m.  The state then carries a lower bound on v for each
+    column of the newest step: the first such step values every column, and
+    each later one bounds column e of S_(m+1) by the min over the step's
+    terms of bound(e - s) + v_p of the term's multiplier
+    (``_carried_bound``).  It values the end columns and the highest bound
+    points, vertices of the hull of the points (e, -bound), then, while some
+    column's bound point lies strictly above the hull of the exact points
+    found so far, the new vertices that those points add
     (``_refined_hull``); valued columns carry their exact v into the next
     step.  The hull stays exact: a true vertex lies strictly above the hull
     of the other points, so its bound point does too.  A query at rho
     is integer work: ``log_norms`` returns one numerator per n over a single
     denominator, the max over m = n..n+lag-1 of log ||S_m / (d^m Q^m)||, and
     log_p |n!| = -(n - s_p(n))/(p - 1) comes from an int table of
-    n - s_p(n) grown with the recursion.  The state keeps the module's prime
-    and rank, not the module, so a module that caches its state is freed by
-    reference counting alone.
+    n - s_p(n) grown with the recursion.  The state keeps the module's prime,
+    rank and interval, not the module, so a module that caches its state is
+    freed by reference counting alone.
 
     ``perfbench/tracer.py`` reads two private fields: ``_S``, a one-slot list
     whose ``_S[-1]`` holds the window as rows of entries with a ``values()``
@@ -345,6 +349,7 @@ class RecursionState:
     def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
         self.p = module.p
         self.rank = module.rank
+        self.interval = module.interval
         self.budget = budget
         mu = module.rank
 
@@ -430,6 +435,8 @@ class RecursionState:
     def extend(self, depth: int) -> None:
         mu, p, g = self.rank, self.p, self._g
         per_step = mu // self._lag  # rows of S_m computed per step: all, or row 0
+        # the sides of 0 that the closed interval reaches
+        left, right = self.interval.lo < 0, self.interval.hi > 0
         while self.depth < depth:
             m = len(self._hulls) - 1
             window = self._S[-1]
@@ -444,7 +451,7 @@ class RecursionState:
                 hull = self._bounded_hull(new_rows, m)
             else:
                 self._bound = None
-                hull = _hull_of(new_rows, g, p)
+                hull = _hull_of(new_rows, g, p, left, right)
             self._hulls.append(hull)
             self._n_minus_sp.append(m + 1 - digit_sum(m + 1, p))
             self._coeff_count += sum(len(c) - c.count(0) for row in new_rows for c in row)
@@ -552,12 +559,16 @@ class RecursionState:
         include_factorial: bool = True,
     ) -> tuple[list[Optional[int]], int]:
         """log_p ||G_n / n!|| (or ||G_n||) for n = 0..depth as (nums, den):
-        entry n is nums[n] / den, and None marks a zero matrix."""
+        entry n is nums[n] / den, and None marks a zero matrix.  rho must lie
+        in the closed interval; the check comes before the state grows."""
         depth = self.depth if depth is None else depth
         if depth < 0:
             raise InputError("depth must be nonnegative")
-        self.extend(depth)
         rho = Fraction(rho)
+        # the hulls are exact on the closed interval alone
+        if not self.interval.contains(rho, closed=True):
+            raise DomainError(f"rho={rho} outside the closed interval {self.interval}")
+        self.extend(depth)
         a, b = rho.numerator, rho.denominator
         # ||G_n|| = ||S_n|| * |d|^-n / ||Q||^n, and ||S_n|| = max over hull
         # vertices of (y + e*rho) = max(b*y + a*e) / b; log_p |n!| is
@@ -601,31 +612,47 @@ def _columns(entries: Sequence[_Coeffs], lo: int, g: int) -> list[tuple[int, ...
     return list(zip_longest(*([0] * ((c.lo - lo) // g) + c for c in entries), fillvalue=0))
 
 
-def _hull_of(rows, g: int, p: Prime) -> list[tuple[int, int]]:
-    """Upper hull of (e, -min v_p) over the exponents e with a nonzero
-    coefficient in some entry, walking the entries' lists side by side.
+def _column_reader(entries: Sequence[_Coeffs], lo: int, g: int):
+    """column(k): the coefficients of x^(lo + g*k) in the entries that reach it."""
+    spans = [(c, (c.lo - lo) // g, (c.lo - lo) // g + len(c)) for c in entries]
+    return lambda k: [c[k - a] for c, a, b in spans if a <= k < b]
 
-    A point with v = 0 is as high as any point gets, so the hull is flat
-    between the first and the last of them: the walk from each end stops at
-    one, and no column is valued twice."""
+
+def _hull_of(rows, g: int, p: Prime, left: bool, right: bool) -> list[tuple[int, int]]:
+    """Upper hull of (e, -min v_p) over the exponents e with a nonzero
+    coefficient in some entry, on the sides of 0 asked for: ``left`` for
+    rho < 0, ``right`` for rho > 0 (see ``RecursionState``).
+
+    A point with v = 0 is as high as any point gets: the walk from the left
+    end stops at the first, the one from the right end at the last, and no
+    column is valued twice."""
     entries = [c for row in rows for c in row if c]
     if not entries:
         return []
     lo = min(c.lo for c in entries)
-    columns = _columns(entries, lo, g)
+    if left and right:
+        # walking both ways, one transpose of every entry reads faster than
+        # column by column
+        columns = _columns(entries, lo, g)
+        column, size = columns.__getitem__, len(columns)
+    else:
+        size = (max(c.lo + g * (len(c) - 1) for c in entries) - lo) // g + 1
+        column = _column_reader(entries, lo, g)
 
     def walk(ks):
         for k in ks:
-            col = columns[k]
+            col = column(k)
             if any(col):
                 v = min_valuation(col, p)
                 yield lo + g * k, -v
                 if not v:
                     return
 
-    left = list(walk(range(len(columns))))
-    right = list(walk(range(len(columns) - 1, (left[-1][0] - lo) // g, -1)))
-    return upper_hull(left + right[::-1])
+    found = list(walk(range(size))) if left else []
+    stop = (found[-1][0] - lo) // g if found else -1
+    if right:
+        found += reversed(list(walk(range(size - 1, stop, -1))))
+    return upper_hull(found)
 
 
 def _refined_hull(
@@ -642,13 +669,13 @@ def _refined_hull(
     those bound points.  A column whose bound point is on or below H has
     its exact point there too, so H is then the exact hull."""
     n = len(bound)
-    starts = [(c, (c.lo - lo) // g) for c in entries]
+    column = _column_reader(entries, lo, g)
     least = min(bound)
     todo = {0, n - 1, bound.index(least), n - 1 - bound[::-1].index(least)}
     valued: set[int] = set()
     while todo:
         for k in todo:
-            col = [c[k - o] for c, o in starts if 0 <= k - o < len(c)]
+            col = column(k)
             bound[k] = min_valuation(col, p) if any(col) else _NEVER
         valued |= todo
         hull = upper_hull([(k, -bound[k]) for k in sorted(valued) if bound[k] != _NEVER])
@@ -746,12 +773,10 @@ def norm_sequence(
 ) -> tuple[Optional[Fraction], ...]:
     """log_p ||G_n / n!|| at rho for n = 0..depth; None marks a zero matrix.
 
-    rho must lie in the closure of the module interval.
+    rho must lie in the closure of the module interval: ``log_norms`` raises
+    ``DomainError`` otherwise, before it grows the state to ``depth``.
     """
-    rho = Fraction(rho)
-    if not module.interval.contains(rho, closed=True):
-        raise DomainError(f"rho={rho} outside the closed interval {module.interval}")
-    nums, den = gn_sequence(module, depth).log_norms(rho, depth, include_factorial)
+    nums, den = gn_sequence(module, 0).log_norms(rho, depth, include_factorial)
     return tuple(None if v is None else Fraction(v, den) for v in nums)
 
 

@@ -429,6 +429,12 @@ def case(config, argv, error_type, named, id):
              "log-interval-past-limit"),
         case(MODULE, ["bounded", "--rho", "0", "--log-r=-1e4000", "--depth", "16"], "InputError",
              "100000", "log-r-past-float-range"),
+        *(case(None, [command, "--catalog", "exp", "--p", "2", "--interval", "1, 4",
+                      "--depth", "16", "--grid=100000000000"], "InputError", "at most 10000",
+               f"{command}-grid-past-cap")
+          for command in ("radius", "polygon", "theorem", "frobenius")),
+        case(MODULE + "[run]\ngrid = 100000000000\n", ["theorem", "--depth", "16"], "InputError",
+             "at most 10000", "run-grid-past-cap"),
         case(MODULE.replace("1/2, 2", "0, 2"), ["radius"], "InputError", "positive",
              "interval-radius-0"),
         case(MODULE.replace("0, 1\n", "0, 1/0\n"), ["radius"], "InputError", "division",

@@ -254,10 +254,10 @@ def deep_rank3_module():
     return DiffModule(Prime(3), RFMatrix.from_strings(rows), Interval(F(1, 2), 1))
 
 
-def sparse_module():
-    """The sparse module of the benchmark; its pullback at p = 7 has stride 7."""
-    return DiffModule(Prime(7), RFMatrix.from_strings([["0", "1"], ["1/x", "1+x"]]),
-                      Interval(F(-1, 2), F(1, 2)))
+def sparse_module(interval=Interval(F(-1, 2), F(1, 2))):
+    """The sparse module of the benchmark; its pullback at p = 7 has stride 7.
+    Its one pole is at x = 0, so any interval of log-radii is pole-free."""
+    return DiffModule(Prime(7), RFMatrix.from_strings([["0", "1"], ["1/x", "1+x"]]), interval)
 
 
 @pytest.mark.parametrize(
@@ -314,13 +314,28 @@ def exact_hull(state):
     )
 
 
+def visible_hull(hull, interval):
+    """The part of a whole hull that rho in the closed interval can see: from
+    its last y = 0 vertex rightwards when lo >= 0, up to its first y = 0
+    vertex when hi <= 0, and the whole hull otherwise (or with no y = 0
+    vertex).  For rho >= 0 no point left of the last y = 0 vertex attains
+    max(y + e*rho), and mirrored for rho <= 0."""
+    zeros = [i for i, (_, y) in enumerate(hull) if y == 0]
+    if zeros and interval.lo >= 0:
+        return hull[zeros[-1]:]
+    if zeros and interval.hi <= 0:
+        return hull[: zeros[0] + 1]
+    return hull
+
+
 def assert_every_hull_exact(m, depth):
-    """Grow the state one step at a time, checking each new hull; returns
+    """Grow the state one step at a time, checking each new hull against the
+    exact hull clipped to the side of 0 that the interval sees; returns
     whether the last step carried a bound, and the largest valuation that
     any hull reached."""
     for n in range(depth + 1):
         state = gn_sequence(m, n)
-        assert state._hulls[-1] == exact_hull(state), n
+        assert state._hulls[-1] == visible_hull(exact_hull(state), m.interval), n
     return state._bound is not None, max(-y for hull in state._hulls for _, y in hull)
 
 
@@ -385,8 +400,9 @@ def count_valuations(monkeypatch, module, depth):
 
 def test_only_positive_content_carries_a_bound(monkeypatch):
     # deep-rank3 has a column of valuation 0 at every step, so every hull is
-    # the two-ended walk: as many valuations as before the carried bound
-    assert count_valuations(monkeypatch, deep_rank3_module(), 128) == 4103
+    # the walk; its interval (1/2, 1) lies right of 0, so the walk goes from
+    # the right end alone to the last such column, mostly the first it reads
+    assert count_valuations(monkeypatch, deep_rank3_module(), 128) == 130
     # the pulled sparse module has none past S_0; the walk valued all 9,408
     # columns to depth 96
     assert count_valuations(monkeypatch, frobenius_pullback(sparse_module(), 1), 96) < 1000
@@ -570,8 +586,10 @@ def wide_state():
 def pulled_state():
     """The pullback (p = 7, h = 1) of a sparse module: every exponent of S_n
     lies in one class mod the stride g = 7.  Its state to depth 32, past the
-    word power 7^22 of ``min_valuation``, and the term matrices."""
-    m = frobenius_pullback(sparse_module(), 1)
+    word power 7^22 of ``min_valuation``, and the term matrices.  The base
+    interval (-6, 6) pulls back to (-6/7, 6/7), which holds every rho that
+    the test queries."""
+    m = frobenius_pullback(sparse_module(Interval(-6, 6)), 1)
     terms = [gn_sequence(m, n).term_matrix() for n in range(33)]
     assert m._state._g == 7
     return gn_sequence(m, 32), terms
@@ -612,7 +630,7 @@ def word_power_state():
     """G = (3^40) at p = 3: S_n = 3^(40n), so for n >= 1 every coefficient is
     divisible by the word power 3^37 of ``min_valuation``.  The hulls are
     built under a counting ``padic_valuation`` to see that its fallback ran."""
-    m = scalar_module(str(3**40), p=3)
+    m = scalar_module(str(3**40), p=3, interval=Interval(-3, 3))
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(arith, "padic_valuation", lambda n, p: calls.append(n) or padic_valuation(n, p))
@@ -627,6 +645,57 @@ def test_log_norms_past_the_word_power_match_gauss_norms(word_power_state, rho, 
     assert as_fractions(state.log_norms(rho, 12, include_factorial)) == brute_force_log_norms(
         state, terms, rho, include_factorial
     )
+
+
+@st.composite
+def side_intervals(draw):
+    """An interval wholly right of 0, wholly left of it, straddling it, or
+    ending at it."""
+    ends = st.fractions(F(1, 8), 2, max_denominator=8)
+    a, b = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    return draw(st.sampled_from(
+        [Interval(a, b), Interval(0, b), Interval(-b, -a), Interval(-b, 0), Interval(-a, b)]
+    ))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    base=st.one_of(small_modules().map(lambda case: case[0]), companion_modules()),
+    interval=side_intervals(),
+    t=st.fractions(0, 1, max_denominator=24),
+)
+def test_one_sided_hulls_match_the_slow_path(base, interval, t):
+    """Each step's hull against the exact hull clipped to the side of 0 that
+    the interval sees, and log_norms at both ends and at one rho between
+    against the Gauss norms of the term matrices, with and without n!."""
+    m = DiffModule(base.p, base.matrix, interval)
+    depth = 12
+    terms = []
+    for n in range(depth + 1):
+        state = gn_sequence(m, n)
+        assert state._hulls[-1] == visible_hull(exact_hull(state), interval), n
+        terms.append(state.term_matrix())
+    for rho in (interval.lo, interval.hi, interval.lo + t * interval.width):
+        for include_factorial in (True, False):
+            want = brute_force_log_norms(state, terms, rho, include_factorial)
+            assert as_fractions(state.log_norms(rho, depth, include_factorial)) == want
+
+
+def test_log_norms_refuses_rho_outside_the_closed_interval():
+    m = deep_rank3_module()  # interval (1/2, 1)
+    state = gn_sequence(m, 4)
+    for rho in (F(1, 2) - F(1, 10**9), 0, -1, 1 + F(1, 10**9), 5):
+        with pytest.raises(DomainError, match="outside the closed interval"):
+            state.log_norms(rho, 64)
+        # refused before the state grows
+        assert state.depth == 4
+    for rho in (F(1, 2), 1):
+        assert state.log_norms(rho, 8)[0][0] == 0
+    assert state.depth == 8
+    # norm_sequence's message, raised there before the state grows too
+    with pytest.raises(DomainError, match=r"^rho=2 outside the closed interval \(1/2, 1\)$"):
+        norm_sequence(m, 2, 64)
+    assert state.depth == 8
 
 
 # -- ramification pullback -------------------------------------------------------------
