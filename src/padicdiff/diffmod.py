@@ -21,8 +21,9 @@ polynomial multiplication.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
@@ -210,24 +211,30 @@ def _as_rf(value) -> RationalFunction:
     return rf
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DiffModule:
     """A differential system dX/dx = G X over an open annulus.
 
     ``matrix`` is square; entries are expected to be pole-free on the
     interval, but the flag is only reported (gauge transforms can create
-    poles and the result must stay inspectable).
+    poles and the result must stay inspectable).  The module is frozen, so
+    the recursion state it caches always describes its own fields; use
+    ``dataclasses.replace`` for a module with another interval.
     """
 
     p: Prime
     matrix: RFMatrix
     interval: Interval
     var: str = "x"
-    _state: Optional["RecursionState"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.p = as_prime(self.p)
+        object.__setattr__(self, "p", as_prime(self.p))
         self.matrix.size  # raises when not square
+
+    @cached_property
+    def _state(self) -> "RecursionState":
+        """The module's one recursion state, which ``gn_sequence`` grows."""
+        return RecursionState(self, 0)
 
     @property
     def rank(self) -> int:
@@ -317,13 +324,14 @@ class RecursionState:
     rho > 0, and from the left end to the first one when it reaches rho < 0:
     for rho >= 0 a column e < e0 has -v + e*rho <= e0*rho, and mirrored for
     rho <= 0, so the hull is exact on the interval, the only rho that
-    ``log_norms`` accepts.  Once the content of S_m is positive, as on a
-    ramification pullback whose d*Q*G terms all carry p^h, that stop never
-    fires, and the content stays positive, since S_(m+1) is an integer
-    combination of S_m.  The state then carries a lower bound on v for each
-    column of the newest step: the first such step values every column, and
-    each later one bounds column e of S_(m+1) by the min over the step's
-    terms of bound(e - s) + v_p of the term's multiplier
+    ``log_norms`` accepts.  The content c of S_m, its least valuation, is
+    -max y over its hull.  Once c > 0, as on a ramification pullback whose
+    d*Q*G terms all carry p^h, that stop never fires, and no column of
+    S_(m+1), an integer combination of S_m, falls below c.  The state then
+    carries a lower bound on v for each column of the newest step: the first
+    such step starts from c for every column, and each later one bounds
+    column e of S_(m+1) by the min over the step's terms of bound(e - s)
+    plus a weight per term that none of its multipliers' v_p falls below
     (``_carried_bound``).  It values the end columns and the highest bound
     points, vertices of the hull of the points (e, -bound), then, while some
     column's bound point lies strictly above the hull of the exact points
@@ -444,14 +452,21 @@ class RecursionState:
                 tuple(self._next_entry(Si, j, m) for j in range(mu)) for Si in window[-per_step:]
             )
             self._S[-1] = (window + new_rows)[-mu:]
-            hull = self._hulls[m]
-            # S_(m+1) is an integer combination of S_m, so the content never
-            # falls: a carried bound means it is still positive
-            if self._bound is not None or hull and max(y for _, y in hull) < 0:
-                hull = self._bounded_hull(new_rows, m)
-            else:
-                self._bound = None
-                hull = _hull_of(new_rows, g, p, left, right)
+            entries = [c for row in new_rows for c in row if c]
+            hull, carried = [], None
+            if entries:
+                lo = min(c.lo for c in entries)
+                size = (max(c.lo + g * (len(c) - 1) for c in entries) - lo) // g + 1
+                # the content of S_m; S_(m+1) is an integer combination of S_m,
+                # so no column of it falls below that valuation
+                content = -max(y for _, y in self._hulls[m])
+                if not content:
+                    hull = _hull_of(entries, lo, size, g, p, left, right)
+                else:
+                    bound = self._carried_bound(m, lo, size) if self._bound else [content] * size
+                    hull = _refined_hull(entries, lo, bound, g, p)
+                    carried = (lo, bound)
+            self._bound = carried
             self._hulls.append(hull)
             self._n_minus_sp.append(m + 1 - digit_sum(m + 1, p))
             self._coeff_count += sum(len(c) - c.count(0) for row in new_rows for c in row)
@@ -461,46 +476,24 @@ class RecursionState:
                     f"coefficients computed exceed budget {self.budget}"
                 )
 
-    def _bounded_hull(self, rows, m: int) -> list[tuple[int, int]]:
-        """The hull of step m + 1 when S_m has positive content: every column
-        of S_(m+1) then has v > 0, so ``_hull_of`` would value them all.
-        The first such step values every column; each later one carries the
-        previous step's bound through the step and values only the columns
-        that ``_refined_hull`` cannot rule out."""
-        entries = [c for row in rows for c in row if c]
-        if not entries:
-            self._bound = None
-            return []
-        g, p = self._g, self.p
-        lo = min(c.lo for c in entries)
-        if self._bound is None:
-            columns = _columns(entries, lo, g)
-            bound = [min_valuation(col, p) if any(col) else _NEVER for col in columns]
-            hull = upper_hull([(lo + g * k, -v) for k, v in enumerate(bound) if v != _NEVER])
-        else:
-            size = (max(c.lo + g * (len(c) - 1) for c in entries) - lo) // g + 1
-            bound = self._carried_bound(m, lo, size)
-            hull = _refined_hull(entries, lo, bound, g, p)
-        self._bound = (lo, bound)
-        return hull
-
     def _carried_bound(self, m: int, lo: int, size: int) -> list[int]:
         """A lower bound on v_p of the columns lo + g*k, k < size, of S_(m+1):
         the min over the step's terms of the bound at the source column plus
-        v_p of the term's multiplier, the coefficient of a d*Q*G term or the
-        Q-term ramp d*v*(e' - m*f) at the source exponent e'."""
+        a weight, the least v_p of a d*Q*G term's coefficients at its shift,
+        or, for a Q term, v_p(gcd(a, b)) for its ramp a + b*k = d*v*(e' - m*f)
+        over the source exponents e' = blo + g*k, which no value of the ramp
+        falls below."""
         g, p = self._g, self.p
         blo, bound = self._bound
         n = len(bound)
+        weights = self._gw + tuple(
+            (o, padic_valuation(math.gcd(dv * blo - m * dfv, dv * g), p))
+            for o, dv, dfv in self._qw
+        )
         # over every exponent a term can reach, blo + least shift onwards
         out = [_NEVER] * (n + self._spread)
-        for o, w in self._gw:
+        for o, w in weights:
             out[o : o + n] = [x if x <= y + w else y + w for x, y in zip(out[o : o + n], bound)]
-        for o, dv, dfv in self._qw:
-            ramp = _ramp_valuations(dv * blo - m * dfv, dv * g, n, p)
-            out[o : o + n] = [
-                x if x <= y + r else y + r for x, y, r in zip(out[o : o + n], bound, ramp)
-            ]
         a = (lo - blo - self._least_shift) // g
         return out[a : a + size]
 
@@ -607,36 +600,28 @@ def _trimmed(acc: list[int], lo: int, g: int) -> _Coeffs:
     return _Coeffs(acc[a:b], lo + g * a)
 
 
-def _columns(entries: Sequence[_Coeffs], lo: int, g: int) -> list[tuple[int, ...]]:
-    """The coefficients of x^(lo + g*k) across the entries, for each k."""
-    return list(zip_longest(*([0] * ((c.lo - lo) // g) + c for c in entries), fillvalue=0))
-
-
 def _column_reader(entries: Sequence[_Coeffs], lo: int, g: int):
     """column(k): the coefficients of x^(lo + g*k) in the entries that reach it."""
     spans = [(c, (c.lo - lo) // g, (c.lo - lo) // g + len(c)) for c in entries]
     return lambda k: [c[k - a] for c, a, b in spans if a <= k < b]
 
 
-def _hull_of(rows, g: int, p: Prime, left: bool, right: bool) -> list[tuple[int, int]]:
-    """Upper hull of (e, -min v_p) over the exponents e with a nonzero
-    coefficient in some entry, on the sides of 0 asked for: ``left`` for
-    rho < 0, ``right`` for rho > 0 (see ``RecursionState``).
+def _hull_of(
+    entries: Sequence[_Coeffs], lo: int, size: int, g: int, p: Prime, left: bool, right: bool
+) -> list[tuple[int, int]]:
+    """Upper hull of (e, -min v_p) over the nonzero columns lo + g*k, k < size,
+    of the entries, on the sides of 0 asked for: ``left`` for rho < 0,
+    ``right`` for rho > 0 (see ``RecursionState``).
 
     A point with v = 0 is as high as any point gets: the walk from the left
     end stops at the first, the one from the right end at the last, and no
     column is valued twice."""
-    entries = [c for row in rows for c in row if c]
-    if not entries:
-        return []
-    lo = min(c.lo for c in entries)
     if left and right:
         # walking both ways, one transpose of every entry reads faster than
         # column by column
-        columns = _columns(entries, lo, g)
-        column, size = columns.__getitem__, len(columns)
+        padded = ([0] * ((c.lo - lo) // g) + c for c in entries)
+        column = list(zip_longest(*padded, fillvalue=0)).__getitem__
     else:
-        size = (max(c.lo + g * (len(c) - 1) for c in entries) - lo) // g + 1
         column = _column_reader(entries, lo, g)
 
     def walk(ks):
@@ -697,35 +682,6 @@ def _above(bound: list[int], k1: int, y1: int, k2: int, y2: int) -> list[int]:
     return [k for k in range(k1, k2 + 1) if bound[k] * span + dy * k < limit]
 
 
-def _ramp_valuations(a: int, b: int, count: int, p: Prime) -> list[int]:
-    """v_p(a + b*k) for k = 0..count-1 (count >= 1, b != 0), ``_NEVER``
-    where a + b*k = 0.
-
-    With b = p^u*b' and p^u | a, v_p(a + b*k) = u + v_p(a' + b'*k), and as b'
-    is a unit mod p, a' + b'*k is divisible by p for one residue class of k
-    mod p alone: k = k0 + p*i, on which a' + b'*k = p*(a'' + b'*i).  So the
-    values are filled by one slice per power of p."""
-    q = p.p
-    vb = padic_valuation(b, p)
-    unit = q**vb
-    if a % unit:
-        return [padic_valuation(a, p)] * count
-    a, b = a // unit, b // unit
-    b_inv = pow(b, -1, q)
-    out = [vb] * count
-    start, step, base = 0, 1, vb
-    while count > 1:
-        k0 = -a * b_inv % q
-        count = len(range(k0, count, q))
-        if not count:
-            return out
-        a = (a + b * k0) // q
-        start, step, base = start + step * k0, step * q, base + 1
-        out[start::step] = [base] * count
-    out[start] = base + padic_valuation(a, p) if a else _NEVER
-    return out
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -757,11 +713,8 @@ def gn_sequence(
     if depth < 0:
         raise InputError("depth must be nonnegative")
     state = module._state
-    if state is None:
-        state = module._state = RecursionState(module, depth, budget)
-    else:
-        state.budget = budget
-        state.extend(depth)
+    state.budget = budget
+    state.extend(depth)
     return state
 
 

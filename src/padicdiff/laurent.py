@@ -291,7 +291,8 @@ def _poly_gcd(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fract
         A, B = B, A
     while B:
         R = _int_prem(A, B)
-        A, B = B, (_prim_int({e: Fraction(v) for e, v in R.items()}) if R else {})
+        content = math.gcd(*R.values())
+        A, B = B, {e: v // content for e, v in R.items()}
     lead = A[_deg(A)]
     return {e: Fraction(v, lead) for e, v in A.items()}
 
@@ -519,6 +520,10 @@ def pole_logmags(f: RationalFunction, p: Union[int, Prime]) -> list[Fraction]:
 # long as (1+x)^1000
 MAX_POWER_SPAN = 1000
 
+# deepest nesting of parentheses in matrix text; the parser recurses six
+# frames per level, so this stays well inside Python's recursion limit
+MAX_NESTING = 100
+
 
 def _check_size(op: str, factors: Sequence[tuple[LaurentPoly, int]]) -> None:
     """Reject the product of f^k over ``factors`` before computing it when
@@ -582,6 +587,7 @@ class _Parser:
         self.tokens = tokens
         self.var = var
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else ("end", None)
@@ -595,6 +601,16 @@ class _Parser:
         kind, val = self.take()
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}, found {val!r}")
+
+    def parenthesised(self, inner):
+        """inner() between the '(' just taken and its ')'."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"parentheses nested more than {MAX_NESTING} deep")
+        out = inner()
+        self.expect_op(")")
+        self.nesting -= 1
+        return out
 
     def parse(self) -> RationalFunction:
         out = self.expr()
@@ -643,9 +659,7 @@ class _Parser:
     def signed_int(self) -> int:
         if self.peek() == ("op", "("):
             self.take()
-            n = self.signed_int()
-            self.expect_op(")")
-            return n
+            return self.parenthesised(self.signed_int)
         sign = 1
         if self.peek() == ("op", "-"):
             self.take()
@@ -664,9 +678,7 @@ class _Parser:
                 raise ParseError(f"unknown symbol {val!r} (variable is {self.var!r})")
             return RationalFunction(LaurentPoly.x())
         if (kind, val) == ("op", "("):
-            out = self.expr()
-            self.expect_op(")")
-            return out
+            return self.parenthesised(self.expr)
         raise ParseError(f"unexpected token {val!r}")
 
 

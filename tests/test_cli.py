@@ -384,6 +384,12 @@ def case(config, argv, error_type, named, id):
              "span more than 1000", "matrix-power-past-span-limit"),
         case(MODULE.replace("0, 1\n", "0, (1+x)^1000*(1+x)^1000\n"), ["pullback", "--h", "1"],
              "ParseError", "span more than 1000", "matrix-product-past-span-limit"),
+        case(MODULE.replace("0, 1\n", "0, " + "(" * 200 + "1" + ")" * 200 + "\n"), ["radius"],
+             "ParseError", "nested more than", "matrix-cell-parentheses-past-nesting-limit"),
+        case(None, ["radius", *_FAMILY, "companion", "--q", "(" * 200 + "1" + ")" * 200],
+             "ParseError", "nested more than", "q-parentheses-past-nesting-limit"),
+        case(None, ["radius", *_FAMILY, "companion", "--q", "x^" + "(" * 1000 + "2" + ")" * 1000],
+             "ParseError", "nested more than", "exponent-parentheses-past-nesting-limit"),
         case(MODULE, ["nonsense"], "InputError", "nonsense", "unknown-command"),
         case(MODULE, [], "InputError", "command", "no-command"),
         case(MODULE, ["radius", "--catalog", "exp", "--p", "2"], "InputError", "not both",

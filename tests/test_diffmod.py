@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -247,6 +248,21 @@ def test_dropped_module_frees_its_state_without_gc():
             gc.enable()
 
 
+def test_module_is_frozen_and_replace_starts_a_fresh_state():
+    m = deep_rank3_module()  # interval (1/2, 1)
+    norm_sequence(m, F(3, 4), 8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.interval = Interval(-1, 1)
+    wider = dataclasses.replace(m, interval=Interval(-1, 1))
+    assert wider.p is m.p and wider._state is not m._state
+    assert norm_sequence(wider, F(-1, 2), 8) == norm_sequence(
+        DiffModule(Prime(3), m.matrix, Interval(-1, 1)), F(-1, 2), 8
+    )
+    # the original keeps its own state and interval
+    with pytest.raises(DomainError):
+        norm_sequence(m, F(-1, 2), 8)
+
+
 
 def deep_rank3_module():
     """The rank-3 companion module of the benchmark, denominator 1 + x."""
@@ -360,22 +376,6 @@ def test_carried_bound_hulls_match_every_column_valued(p):
         assert carried and top > k
 
 
-@given(
-    p=st.sampled_from([2, 3, 5, 7, 11]),
-    a=st.integers(-10**6, 10**6),
-    b=st.integers(1, 10**4).flatmap(lambda b: st.sampled_from([b, -b])),
-    unit_power=st.integers(0, 4),
-    count=st.integers(1, 300),
-    zero_at=st.none() | st.integers(0, 299),
-)
-def test_ramp_valuations_match_each_multiplier(p, a, b, unit_power, count, zero_at):
-    b *= p**unit_power
-    if zero_at is not None and zero_at < count:
-        a = -b * zero_at  # one multiplier is 0
-    want = [padic_valuation(a + b * k, p) if a + b * k else diffmod._NEVER for k in range(count)]
-    assert diffmod._ramp_valuations(a, b, count, Prime(p)) == want
-
-
 def test_carried_bound_hulls_match_on_pulled_modules():
     carried = []
 
@@ -403,9 +403,13 @@ def test_only_positive_content_carries_a_bound(monkeypatch):
     # the walk; its interval (1/2, 1) lies right of 0, so the walk goes from
     # the right end alone to the last such column, mostly the first it reads
     assert count_valuations(monkeypatch, deep_rank3_module(), 128) == 130
-    # the pulled sparse module has none past S_0; the walk valued all 9,408
-    # columns to depth 96
-    assert count_valuations(monkeypatch, frobenius_pullback(sparse_module(), 1), 96) < 1000
+    # the pulled sparse module has none past S_0, where the walk would value
+    # all 9,408 columns to depth 96; the carried bound values 342 of them
+    assert count_valuations(monkeypatch, frobenius_pullback(sparse_module(), 1), 96) == 342
+    # pullback-exp: every S_n past S_0 has positive content, and the bound
+    # rules out all but 127 columns to depth 64
+    pulled_exp = catalog_get("pullback-exp", 5, alpha=1).build(Interval(-1, 1))
+    assert count_valuations(monkeypatch, pulled_exp, 64) == 127
 
 
 def as_fractions(norms):
