@@ -310,19 +310,19 @@ class RecursionState:
     any other module computes all mu rows, lag = 1.  The loop is the same:
     each step m -> m + 1 extends the newest mu/lag rows of S_m.
 
-    The state keeps only the newest window, n = ``depth``, which
-    ``term_matrix()`` describes: the mu rows of S_n, or row 0 of S_n, ...,
-    S_(n+mu-1).  For every step m it keeps the upper hull of the points
-    (exponent, -v), v the minimal valuation of that exponent's coefficient
-    across the entries computed at step m: only hull vertices can attain the
-    Gauss norm max(-v + e*rho), and a hull has a handful of vertices where
-    S_m has hundreds of exponents.  Each step builds its hull at once, as
-    every norm query reads every m anyway, valuing a column (the coefficients
-    of one exponent) with one ``arith.min_valuation`` gcd.  While S_m has a
-    column of valuation 0, the walk (``_hull_of``) reads columns from the
-    right end to the last such column e0 when the closed interval reaches
-    rho > 0, and from the left end to the first one when it reaches rho < 0:
-    for rho >= 0 a column e < e0 has -v + e*rho <= e0*rho, and mirrored for
+    The state keeps only the newest window, n = ``depth``: the mu rows of
+    S_n, or row 0 of S_n, ..., S_(n+mu-1).  For every step m it keeps the
+    upper hull of the points (exponent, -v), v the minimal valuation of that
+    exponent's coefficient across the entries computed at step m: only hull
+    vertices can attain the Gauss norm max(-v + e*rho), and a hull has a
+    handful of vertices where S_m has hundreds of exponents.  Each step
+    builds its hull at once, as every norm query reads every m anyway,
+    valuing a column (the coefficients of one exponent) with one
+    ``arith.min_valuation`` gcd.  While S_m has a column of valuation 0, the
+    walk reads columns from the right end to the last such column e0 when
+    the closed interval reaches rho > 0, and from the left end to the first
+    one when it reaches rho < 0 (``_hull_of`` when it reaches both): for
+    rho >= 0 a column e < e0 has -v + e*rho <= e0*rho, and mirrored for
     rho <= 0, so the hull is exact on the interval, the only rho that
     ``log_norms`` accepts.  The content c of S_m, its least valuation, is
     -max y over its hull.  Once c > 0, as on a ramification pullback whose
@@ -338,20 +338,38 @@ class RecursionState:
     found so far, the new vertices that those points add
     (``_refined_hull``); valued columns carry their exact v into the next
     step.  The hull stays exact: a true vertex lies strictly above the hull
-    of the other points, so its bound point does too.  A query at rho
-    is integer work: ``log_norms`` returns one numerator per n over a single
-    denominator, the max over m = n..n+lag-1 of log ||S_m / (d^m Q^m)||, and
-    log_p |n!| = -(n - s_p(n))/(p - 1) comes from an int table of
-    n - s_p(n) grown with the recursion.  The state keeps the module's prime,
-    rank and interval, not the module, so a module that caches its state is
-    freed by reference counting alone.
+    of the other points, so its bound point does too.
+
+    On an interval with lo >= 0 no column below e0 is read, so S_m is kept
+    and computed only at exponents >= its floor A_m = m*s_max - reach
+    (mirrored for hi <= 0: <= m*s_min + reach), s_max and s_min the largest
+    and least shifts of a step.  Column c of S_(m+1) draws on columns
+    c - s_max .. c - s_min of S_m, so its columns >= A_m + s_max come from
+    stored, exact ones alone.  The reach is planned at the first cut, until
+    which it can grow for free, from the e0 seen (``_planned``).  A walk that
+    reaches the floor of a cut window without a column of valuation 0 is a
+    miss: the state re-runs from S_0 under a reach extrapolated to the target
+    step, depth + lag - 1, and after a second miss in one ``extend`` call
+    under none, keeping its hulls and resuming that walk past the old floor,
+    so no column is valued twice.  A call for a farther target re-runs when
+    the e0 seen ask for a lower floor.  Straddling intervals and the steps
+    after S_m has positive content (the carried bound covers every column)
+    run with no floor, and so does ``term_matrix``.
+
+    A query at rho is integer work: ``log_norms`` returns one numerator per
+    n over a single denominator, the max over m = n..n+lag-1 of
+    log ||S_m / (d^m Q^m)||, and log_p |n!| = -(n - s_p(n))/(p - 1) comes
+    from an int table of n - s_p(n) grown with the recursion.  The state
+    keeps the module's prime, rank and interval, not the module, so a module
+    that caches its state is freed by reference counting alone.
 
     ``perfbench/tracer.py`` reads two private fields: ``_S``, a one-slot list
     whose ``_S[-1]`` holds the window as rows of entries with a ``values()``
     method, and ``_coeff_count``, the number of nonzero coefficients computed
-    so far, which is also what ``budget`` bounds.  It also wraps
-    ``log_norms`` and reads its depth as the third positional argument, so
-    every norm query, ``norm_sequence`` included, is one call of that method.
+    so far, re-runs included, which is also what ``budget`` bounds.  It also
+    wraps ``log_norms`` and reads its depth as the third positional argument,
+    so every norm query, ``norm_sequence`` included, is one call of that
+    method.
     """
 
     def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
@@ -423,10 +441,11 @@ class RecursionState:
         # whose values() is the list itself, because perfbench/tracer.py reads
         # the window as _S[-1] (see the docstring)
         per_step = mu // self._lag
-        start = tuple(
+        self._start = tuple(
             tuple(_Coeffs([1]) if i == j else _Coeffs() for j in range(mu)) for i in range(per_step)
         )
-        self._S: list[tuple[tuple[_Coeffs, ...], ...]] = [start]
+        self._S: list[tuple[tuple[_Coeffs, ...], ...]] = [self._start]
+        self._m = 0  # the step of the window; behind the hulls while a re-run replays
         self._coeff_count = per_step
         self._hulls: list[list[tuple[int, int]]] = [[(0, 0)]]
         # (lo, bound): a lower bound on v_p of each column lo + g*k of the
@@ -434,6 +453,20 @@ class RecursionState:
         self._bound: Optional[tuple[int, list[int]]] = None
         self._n_minus_sp = [0]
         self._vp_d = padic_valuation(d, self.p)
+
+        # the floor (lo >= 0, side 1) or ceiling (hi <= 0, side -1) of a
+        # one-sided interval: S_m keeps the exponents e with
+        # side*(m*out - e) <= reach, out the outermost shift (see the docstring)
+        self._side = 1 if self.interval.lo >= 0 else -1 if self.interval.hi <= 0 else 0
+        self._out = max(shifts) if self._side > 0 else least
+        # no floor when straddling 0, or when S_1 = d*Q*G already has positive content
+        first = (v for row in self._pt[:per_step] for terms in row for _, v in terms)
+        self._reach: Optional[int] = 0 if self._side and any(v % self.p.p for v in first) else None
+        self._cut = False  # whether the window lacks nonzero columns past the floor
+        # (points, cap) of a walk that reached the floor; the re-run resumes it
+        self._pending: Optional[tuple[list[tuple[int, int]], int]] = None
+        # side*(m*out - e0), the inward distance of e0, for each step m whose walk found it
+        self._inward: dict[int, int] = {0: 0}
         self.extend(depth)
 
     @property
@@ -441,40 +474,135 @@ class RecursionState:
         return len(self._hulls) - self._lag
 
     def extend(self, depth: int) -> None:
-        mu, p, g = self.rank, self.p, self._g
-        per_step = mu // self._lag  # rows of S_m computed per step: all, or row 0
-        # the sides of 0 that the closed interval reaches
-        left, right = self.interval.lo < 0, self.interval.hi > 0
-        while self.depth < depth:
-            m = len(self._hulls) - 1
+        mu, p, hulls = self.rank, self.p, self._hulls
+        target = depth + self._lag - 1  # the last step whose hull ``depth`` reads
+        if len(hulls) > target:
+            return
+        # a window cut under a floor planned for a nearer target: re-run now
+        # if the e0 seen so far ask for a lower floor at this one
+        if self._cut and self._m == len(hulls) - 1:
+            reach = self._planned(target)
+            if reach > self._reach:
+                self._reach = reach
+                self._restart()
+        misses = 0
+        while len(hulls) <= target:
+            m = self._m
+            # the content of S_m; S_(m+1) is an integer combination of S_m,
+            # so no column of it falls below that valuation
+            content = -max(y for _, y in hulls[m]) if hulls[m] else 0
             window = self._S[-1]
-            new_rows = tuple(
-                tuple(self._next_entry(Si, j, m) for j in range(mu)) for Si in window[-per_step:]
-            )
-            self._S[-1] = (window + new_rows)[-mu:]
+            new_rows = self._rows(window, m, self._cap(m + 1) if self._cut else None)
             entries = [c for row in new_rows for c in row if c]
-            hull, carried = [], None
-            if entries:
-                lo = min(c.lo for c in entries)
-                size = (max(c.lo + g * (len(c) - 1) for c in entries) - lo) // g + 1
-                # the content of S_m; S_(m+1) is an integer combination of S_m,
-                # so no column of it falls below that valuation
-                content = -max(y for _, y in self._hulls[m])
-                if not content:
-                    hull = _hull_of(entries, lo, size, g, p, left, right)
+            self._coeff_count += sum(len(c) - c.count(0) for c in entries)
+            floored = self._reach is not None and not content
+            if floored and not self._cut and self._past(entries, m + 1):
+                # the first cut; until now the floor could drop for free
+                self._reach = max(self._reach, self._planned(target))
+                if self._past(entries, m + 1):
+                    new_rows = self._rows(window, m, self._cap(m + 1))
+                    entries = [c for row in new_rows for c in row if c]
+                    self._cut = True
+            self._S[-1] = (window + new_rows)[-mu:]
+            self._m = m + 1
+            if m + 1 == len(hulls):  # a replayed step keeps its hull
+                hull = self._step_hull(entries, content, m)
+                if hull is None:
+                    # re-run under a floor extrapolated from the e0 seen, then under none
+                    misses += 1
+                    miss = (m + 1, self._reach + 1)  # e0 lies past the floor
+                    self._reach = self._planned(target, miss) if misses < 2 else None
+                    self._restart()
                 else:
-                    bound = self._carried_bound(m, lo, size) if self._bound else [content] * size
-                    hull = _refined_hull(entries, lo, bound, g, p)
-                    carried = (lo, bound)
-            self._bound = carried
-            self._hulls.append(hull)
-            self._n_minus_sp.append(m + 1 - digit_sum(m + 1, p))
-            self._coeff_count += sum(len(c) - c.count(0) for row in new_rows for c in row)
+                    hulls.append(hull)
+                    self._n_minus_sp.append(m + 1 - digit_sum(m + 1, p))
             if self._coeff_count > self.budget:
                 raise BudgetExceededError(
                     f"recursion stopped at n={m + 1}: {self._coeff_count} "
                     f"coefficients computed exceed budget {self.budget}"
                 )
+
+    def _step_hull(
+        self, entries: Sequence[_Coeffs], content: int, m: int
+    ) -> Optional[list[tuple[int, int]]]:
+        """The hull of S_(m+1) from its nonzero entries, given the content of
+        S_m; None when a one-sided walk is left unresolved."""
+        g, p = self._g, self.p
+        if not entries:
+            self._bound = None
+            return self._one_sided_hull(entries, 0, 0, m + 1) if self._cut else []
+        lo = min(c.lo for c in entries)
+        size = (max(c.lo + g * (len(c) - 1) for c in entries) - lo) // g + 1
+        if content:
+            bound = self._carried_bound(m, lo, size) if self._bound else [content] * size
+            self._bound = (lo, bound)
+            return _refined_hull(entries, lo, bound, g, p)
+        self._bound = None
+        if self._side:
+            return self._one_sided_hull(entries, lo, size, m + 1)
+        return _hull_of(entries, lo, size, g, p)
+
+    def _rows(self, window, m: int, cap: Optional[int]) -> tuple[tuple[_Coeffs, ...], ...]:
+        """The rows of S_(m+1) that a step computes, all or row 0, from the
+        newest rows of the window of S_m; cut at ``cap`` if one is given."""
+        per_step = self.rank // self._lag
+        return tuple(
+            tuple(self._next_entry(Si, j, m, cap) for j in range(self.rank))
+            for Si in window[-per_step:]
+        )
+
+    def _restart(self) -> None:
+        """Back to S_0, for a re-run under a lower floor; the hulls stay."""
+        self._S[-1] = self._start
+        self._m = 0
+        self._cut = False
+
+    def _cap(self, m: int) -> int:
+        """The floor (side 1) or ceiling (side -1) of step m's exponents."""
+        return m * self._out - self._side * self._reach
+
+    def _past(self, entries: Sequence[_Coeffs], m: int) -> bool:
+        """Whether an entry of step m reaches past its cap; its ends are nonzero."""
+        cap, g = self._cap(m), self._g
+        if self._side > 0:
+            return any(c.lo < cap for c in entries)
+        return any(c.lo + g * (len(c) - 1) > cap for c in entries)
+
+    def _planned(self, target: int, miss: Optional[tuple[int, int]] = None) -> int:
+        """The reach for a run to step ``target``: the newest inward distance
+        d of e0, extrapolated along the slope of d over the newer half of the
+        steps seen (with a miss, its step and least d), plus 2 + target/8
+        strides.  Before a miss, fewer than target/8 steps are not
+        extrapolated: a miss then costs a short re-run."""
+        seen = list(self._inward.items()) + ([miss] if miss else [])
+        m1, d1 = seen[-1]
+        reach = d1 + self._g * (2 + target // 8)
+        m0, d0 = next((m, d) for m, d in seen if m >= m1 // 2)
+        if (miss or 8 * m1 >= target) and m0 < m1 and d1 > d0:
+            reach += -((d0 - d1) * (target - m1) // (m1 - m0))
+        return reach
+
+    def _one_sided_hull(
+        self, entries: Sequence[_Coeffs], lo: int, size: int, m: int
+    ) -> Optional[list[tuple[int, int]]]:
+        """The hull of step m by the walk from the outer end inwards to the
+        first column of valuation 0, resuming past the cap of a pending walk.
+        None, with the walk kept pending, when it runs out of columns on a
+        cut window."""
+        g, side = self._g, self._side
+        found, below = self._pending or ([], None)
+        self._pending = None
+        if side > 0:
+            ks = range(size - 1 if below is None else min(size - 1, (below - 1 - lo) // g), -1, -1)
+        else:
+            ks = range(0 if below is None else max(0, (below - lo) // g + 1), size)
+        found += _walk(_column_reader(entries, lo, g), lo, g, ks, self.p)
+        if found and found[-1][1] == 0:
+            self._inward[m] = side * (m * self._out - found[-1][0])
+        elif self._cut:
+            self._pending = (found, self._cap(m))
+            return None
+        return upper_hull(sorted(found))
 
     def _carried_bound(self, m: int, lo: int, size: int) -> list[int]:
         """A lower bound on v_p of the columns lo + g*k, k < size, of S_(m+1):
@@ -497,9 +625,10 @@ class RecursionState:
         a = (lo - blo - self._least_shift) // g
         return out[a : a + size]
 
-    def _next_entry(self, Si: Sequence[_Coeffs], j: int, n: int) -> _Coeffs:
+    def _next_entry(self, Si: Sequence[_Coeffs], j: int, n: int, cap: Optional[int]) -> _Coeffs:
         """Entry (i, j) of S_{n+1} from row i of S_n:
-        sum_t S[i][t]*pt[t][j] + d*Q*S[i][j]' - n*d*Q'*S[i][j]."""
+        sum_t S[i][t]*pt[t][j] + d*Q*S[i][j]' - n*d*Q'*S[i][j], without the
+        exponents past ``cap`` on the inner side if one is given."""
         g, pt, qterms = self._g, self._pt, self._qterms
         parts = [(b, pt[t][j]) for t, b in enumerate(Si) if b and pt[t][j]]
         bq = Si[j]
@@ -508,35 +637,60 @@ class RecursionState:
             return _Coeffs()
         lo = min(b.lo + terms[0][0] for b, terms in ends)
         hi = max(b.lo + g * (len(b) - 1) + terms[-1][0] for b, terms in ends)
-        acc = [0] * ((hi - lo) // g + 1)
+        if cap is not None:
+            # only the exponents on the inner side of the cap (see ``extend``)
+            if self._side > 0 and cap > lo:
+                lo -= (lo - cap) // g * g
+            elif self._side < 0 and cap < hi:
+                hi += (cap - hi) // g * g
+            if hi < lo:
+                return _Coeffs()
+        width = (hi - lo) // g + 1
+        acc = [0] * width
         for b, terms in parts:
             size = len(b)
             for s, v in terms:
                 o = (b.lo + s - lo) // g
+                src, end = b, o + size
+                if o < 0 or end > width:  # the cap cuts this term
+                    o, _, src = _overlap(b, o, width)
+                    end = o + len(src)
                 # a product by 1 still copies the big integer; skip it
                 if v == 1:
-                    acc[o : o + size] = [x + y for x, y in zip(acc[o : o + size], b)]
+                    acc[o:end] = [x + y for x, y in zip(acc[o:end], src)]
                 else:
-                    acc[o : o + size] = [x + v * y for x, y in zip(acc[o : o + size], b)]
+                    acc[o:end] = [x + v * y for x, y in zip(acc[o:end], src)]
         if bq:
             size = len(bq)
             for s, dv, dfv in qterms:
-                o = (bq.lo + s - lo) // g
+                o, k0 = (bq.lo + s - lo) // g, 0
+                src, end = bq, o + size
+                if o < 0 or end > width:
+                    o, k0, src = _overlap(bq, o, width)
+                    end = o + len(src)
                 # the multiplier d*v*(e - n*f) at the exponent e = bq.lo + g*k
-                m0, dm = dv * bq.lo - n * dfv, dv * g
-                ramp = range(m0, m0 + dm * size, dm)
-                acc[o : o + size] = [x + m * y for x, m, y in zip(acc[o : o + size], ramp, bq)]
+                m0, dm = dv * (bq.lo + g * k0) - n * dfv, dv * g
+                ramp = range(m0, m0 + dm * (end - o), dm)
+                acc[o:end] = [x + m * y for x, m, y in zip(acc[o:end], ramp, src)]
         return _trimmed(acc, lo, g)
 
     # -- exact view of the current step ----------------------------------------
 
-    def term_matrix(self) -> RFMatrix:
-        """G_n for n = ``depth`` as a matrix of rational functions, unreduced:
-        row i is S_m's row over d^m Q^m, m = n + i // (rows per step), so
-        m = n for every row, or m = n + i when only row 0 is computed."""
-        n, g, per_step = self.depth, self._g, self.rank // self._lag
+    def term_matrix(self, n: Optional[int] = None) -> RFMatrix:
+        """G_n for 0 <= n <= ``depth`` (default ``depth``) as a matrix of
+        rational functions, unreduced: row i is S_m's row over d^m Q^m,
+        m = n + i // (rows per step), so m = n for every row, or m = n + i
+        when only row 0 is computed.  The window may be cut at a floor, so
+        this reruns the step loop from S_0 with none."""
+        n = self.depth if n is None else n
+        if not 0 <= n <= self.depth:
+            raise InputError(f"n = {n}: term_matrix needs 0 <= n <= depth = {self.depth}")
+        g, per_step = self._g, self.rank // self._lag
+        window = self._start
+        for m in range(n + self._lag - 1):
+            window = (window + self._rows(window, m, None))[-self.rank :]
         rows = []
-        for i, row in enumerate(self._S[-1]):
+        for i, row in enumerate(window):
             m = n + i // per_step
             den = self.Q**m * self.d**m
             polys = (LaurentPoly({c.lo + g * t: v for t, v in enumerate(c)}) for c in row)
@@ -600,43 +754,45 @@ def _trimmed(acc: list[int], lo: int, g: int) -> _Coeffs:
     return _Coeffs(acc[a:b], lo + g * a)
 
 
+def _overlap(b: _Coeffs, o: int, width: int) -> tuple[int, int, list[int]]:
+    """The part of b that lands inside acc[0:width] when b[0] goes to acc[o]:
+    (its offset in acc, its first index in b, its coefficients)."""
+    k0 = max(0, -o)
+    return o + k0, k0, b[k0 : max(k0, width - o)]
+
+
 def _column_reader(entries: Sequence[_Coeffs], lo: int, g: int):
     """column(k): the coefficients of x^(lo + g*k) in the entries that reach it."""
     spans = [(c, (c.lo - lo) // g, (c.lo - lo) // g + len(c)) for c in entries]
     return lambda k: [c[k - a] for c, a, b in spans if a <= k < b]
 
 
+def _walk(column, lo: int, g: int, ks: Iterable[int], p: Prime):
+    """The points (lo + g*k, -v) of the nonzero columns k in ``ks``, valued in
+    turn up to the first of valuation 0, as high as any point gets."""
+    for k in ks:
+        col = column(k)
+        if any(col):
+            v = min_valuation(col, p)
+            yield lo + g * k, -v
+            if not v:
+                return
+
+
 def _hull_of(
-    entries: Sequence[_Coeffs], lo: int, size: int, g: int, p: Prime, left: bool, right: bool
+    entries: Sequence[_Coeffs], lo: int, size: int, g: int, p: Prime
 ) -> list[tuple[int, int]]:
     """Upper hull of (e, -min v_p) over the nonzero columns lo + g*k, k < size,
-    of the entries, on the sides of 0 asked for: ``left`` for rho < 0,
-    ``right`` for rho > 0 (see ``RecursionState``).
-
-    A point with v = 0 is as high as any point gets: the walk from the left
-    end stops at the first, the one from the right end at the last, and no
-    column is valued twice."""
-    if left and right:
-        # walking both ways, one transpose of every entry reads faster than
-        # column by column
-        padded = ([0] * ((c.lo - lo) // g) + c for c in entries)
-        column = list(zip_longest(*padded, fillvalue=0)).__getitem__
-    else:
-        column = _column_reader(entries, lo, g)
-
-    def walk(ks):
-        for k in ks:
-            col = column(k)
-            if any(col):
-                v = min_valuation(col, p)
-                yield lo + g * k, -v
-                if not v:
-                    return
-
-    found = list(walk(range(size))) if left else []
+    of the entries, for an interval on both sides of 0: the walk from the
+    left end stops at the first column of valuation 0, the one from the
+    right end at the last, and no column is valued twice."""
+    # walking both ways, one transpose of every entry reads faster than
+    # column by column
+    padded = ([0] * ((c.lo - lo) // g) + c for c in entries)
+    column = list(zip_longest(*padded, fillvalue=0)).__getitem__
+    found = list(_walk(column, lo, g, range(size), p))
     stop = (found[-1][0] - lo) // g if found else -1
-    if right:
-        found += reversed(list(walk(range(size - 1, stop, -1))))
+    found += reversed(list(_walk(column, lo, g, range(size - 1, stop, -1), p)))
     return upper_hull(found)
 
 
@@ -709,7 +865,8 @@ def gn_sequence(
     to ``depth`` under this call's coefficient budget.
 
     A state grown earlier may be deeper than ``depth``: ``term_matrix()``
-    describes G_n for n = ``state.depth``, not for the ``depth`` asked for."""
+    describes G_n for n = ``state.depth``, and ``term_matrix(depth)`` G_n for
+    the ``depth`` asked for."""
     if depth < 0:
         raise InputError("depth must be nonnegative")
     state = module._state

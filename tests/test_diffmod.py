@@ -270,6 +270,12 @@ def deep_rank3_module():
     return DiffModule(Prime(3), RFMatrix.from_strings(rows), Interval(F(1, 2), 1))
 
 
+def wide_module():
+    """The rank-2 module of the benchmark, on (1/2, 2)."""
+    rows = [["x", "1/(1+2*x^2)"], ["3", "x^-1"]]
+    return DiffModule(Prime(5), RFMatrix.from_strings(rows), Interval(F(1, 2), 2))
+
+
 def sparse_module(interval=Interval(F(-1, 2), F(1, 2))):
     """The sparse module of the benchmark; its pullback at p = 7 has stride 7.
     Its one pole is at x = 0, so any interval of log-radii is pole-free."""
@@ -280,7 +286,9 @@ def sparse_module(interval=Interval(F(-1, 2), F(1, 2))):
     "module, stopped",
     [
         # a companion module: only row 0 of each S_n is computed and counted
-        pytest.param(deep_rank3_module, "stopped at n=75: 20181 coefficients",
+        # the floor planned for depth 500 is missed at step 156 and the re-run
+        # from S_0 counts again: the floorless run stopped at n=75: 20181
+        pytest.param(deep_rank3_module, "stopped at n=41: 20214 coefficients",
                      id="deep-rank3"),
         pytest.param(lambda: frobenius_pullback(sparse_module(), 1),
                      "stopped at n=71: 20029 coefficients", id="pulled-sparse"),
@@ -306,15 +314,17 @@ def test_state_holds_one_step_not_the_history():
 
 
 def test_extending_in_two_calls_matches_one_call():
+    # the second call re-runs under a floor planned for the farther target
     split, whole = deep_rank3_module(), deep_rank3_module()
     gn_sequence(split, 24)
-    two_calls = gn_sequence(split, 48)
-    one_call = gn_sequence(whole, 48)
+    two_calls, one_call = gn_sequence(split, 128), gn_sequence(whole, 128)
+    assert two_calls._hulls == one_call._hulls
     for rho in (F(1, 2), F(9, 16), F(3, 4), F(15, 16), 1):
         for include_factorial in (True, False):
-            assert as_fractions(two_calls.log_norms(rho, 48, include_factorial)) == as_fractions(
-                one_call.log_norms(rho, 48, include_factorial)
+            assert as_fractions(two_calls.log_norms(rho, 128, include_factorial)) == as_fractions(
+                one_call.log_norms(rho, 128, include_factorial)
             )
+    assert_matches_the_floorless_run(two_calls, split, (F(1, 2), 1))
 
 
 def exact_hull(state):
@@ -683,6 +693,112 @@ def test_one_sided_hulls_match_the_slow_path(base, interval, t):
         for include_factorial in (True, False):
             want = brute_force_log_norms(state, terms, rho, include_factorial)
             assert as_fractions(state.log_norms(rho, depth, include_factorial)) == want
+
+
+def floorless(m, depth):
+    """The same step loop with its cap moved past every exponent, so that
+    nothing is cut: the run with no floor."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RecursionState, "_cap", lambda state, n: -state._side * 2**62)
+        return RecursionState(m, depth)
+
+
+def count_restarts(monkeypatch):
+    restarts = []
+    real = RecursionState._restart
+    monkeypatch.setattr(RecursionState, "_restart", lambda state: restarts.append(1) or real(state))
+    return restarts
+
+
+def assert_matches_the_floorless_run(state, m, rhos):
+    """Every step's hull, and log_norms with and without n! at each rho."""
+    ref = floorless(m, state.depth)
+    assert ref._cut is False and ref.depth == state.depth
+    assert state._hulls == ref._hulls
+    for rho in rhos:
+        for include_factorial in (True, False):
+            assert state.log_norms(rho, state.depth, include_factorial) == ref.log_norms(
+                rho, state.depth, include_factorial
+            )
+
+
+def test_floored_run_matches_the_floorless_run():
+    """On an interval right of 0, left of it or ending at it."""
+    seen = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.one_of(small_modules().map(lambda case: case[0]), companion_modules()),
+        interval=side_intervals().filter(lambda iv: iv.lo >= 0 or iv.hi <= 0),
+        t=st.fractions(0, 1, max_denominator=24),
+        depth=st.integers(8, 32),
+    )
+    def check(base, interval, t, depth):
+        m = DiffModule(base.p, base.matrix, interval)
+        with pytest.MonkeyPatch.context() as mp:
+            restarts = count_restarts(mp)
+            state = gn_sequence(m, depth)
+        seen.append((state._cut, bool(restarts)))
+        assert_matches_the_floorless_run(
+            state, m, (interval.lo, interval.hi, interval.lo + t * interval.width)
+        )
+
+    check()
+    # some windows were cut at a floor, and some floors were missed
+    assert any(cut for cut, _ in seen) and any(rerun for _, rerun in seen), seen
+
+
+def test_floored_run_on_the_benchmark_module(monkeypatch):
+    # deep-rank3: its e0 drifts inwards by about one column every other
+    # step, so the first floor, planned on a few steps, is missed once
+    restarts = count_restarts(monkeypatch)
+    m = deep_rank3_module()
+    state = gn_sequence(m, 128)
+    assert len(restarts) >= 1 and state._reach is not None and state._cut
+    assert_matches_the_floorless_run(state, m, (F(1, 2), F(3, 4), 1))
+
+
+@pytest.mark.parametrize("interval", [Interval(F(1, 2), 1), Interval(-1, F(-1, 2))])
+def test_an_empty_window_is_not_a_cut_one(monkeypatch, interval):
+    # S_n = 0 from n = 2: its walk finds no column, and nothing was cut
+    restarts = count_restarts(monkeypatch)
+    m = DiffModule(P2, RFMatrix.from_strings([["0", "1"], ["0", "0"]]), interval)
+    state = gn_sequence(m, 40)
+    assert not restarts and not state._cut and state._reach is not None
+    assert state._hulls[2:] == [[]] * (len(state._hulls) - 2)
+    assert_matches_the_floorless_run(state, m, (interval.lo, interval.hi))
+
+
+def test_positive_content_runs_with_no_floor(monkeypatch):
+    # every coefficient of the pullback's S_1 = d*Q*G is divisible by 7
+    restarts = count_restarts(monkeypatch)
+    m = frobenius_pullback(sparse_module(Interval(F(1, 8), F(1, 2))), 1)
+    state = gn_sequence(m, 48)
+    assert not restarts and state._reach is None and state._bound is not None
+    assert_matches_the_floorless_run(state, m, (m.interval.lo, m.interval.hi))
+
+
+def test_coefficient_counts_of_the_floored_runs():
+    # every nonzero coefficient computed; the floorless runs count 20,742 and
+    # 65,539.  The x^1000 module keeps one column a step: its e0 is the top
+    assert gn_sequence(wide_module(), 72)._coeff_count == 1498
+    gap = DiffModule(P2, RFMatrix.from_strings([["x^1000", "1"], ["0", "0"]]), Interval(F(1, 2), 2))
+    assert gn_sequence(gap, 256)._coeff_count == 259
+
+
+@pytest.mark.parametrize("module", [deep_rank3_module, wide_module], ids=["companion", "rank-2"])
+def test_term_matrix_rebuilds_any_step(module):
+    m = module()
+    state = gn_sequence(m, 12)
+    assert state._cut  # the window holds only the columns past the floor
+    direct = RFMatrix.identity(m.rank)
+    for n in range(13):
+        assert state.term_matrix(n) == direct
+        direct = (direct.derivative() + direct @ m.matrix).reduced()
+    assert state.term_matrix() == state.term_matrix(12)
+    for n in (-1, 13):
+        with pytest.raises(InputError, match="term_matrix needs 0 <= n <= depth = 12"):
+            state.term_matrix(n)
 
 
 def test_log_norms_refuses_rho_outside_the_closed_interval():
