@@ -341,20 +341,21 @@ class RecursionState:
     of the other points, so its bound point does too.
 
     On an interval with lo >= 0 no column below e0 is read, so S_m is kept
-    and computed only at exponents >= its floor A_m = m*s_max - reach
-    (mirrored for hi <= 0: <= m*s_min + reach), s_max and s_min the largest
-    and least shifts of a step.  Column c of S_(m+1) draws on columns
-    c - s_max .. c - s_min of S_m, so its columns >= A_m + s_max come from
-    stored, exact ones alone.  The reach is planned at the first cut, until
-    which it can grow for free, from the e0 seen (``_planned``).  A walk that
-    reaches the floor of a cut window without a column of valuation 0 is a
-    miss: the state re-runs from S_0 under a reach extrapolated to the target
-    step, depth + lag - 1, and after a second miss in one ``extend`` call
-    under none, keeping its hulls and resuming that walk past the old floor,
-    so no column is valued twice.  A call for a farther target re-runs when
-    the e0 seen ask for a lower floor.  Straddling intervals and the steps
-    after S_m has positive content (the carried bound covers every column)
-    run with no floor, and so does ``term_matrix``.
+    only at exponents >= its floor A_m = m*s_max - reach (mirrored for
+    hi <= 0: <= m*s_min + reach), s_max and s_min the largest and least
+    shifts of a step.  Column c of S_(m+1) draws on columns c - s_max ..
+    c - s_min of S_m, so its columns >= A_(m+1) = A_m + s_max come from
+    stored, exact ones alone; a step computes each entry whole, then drops
+    the rest.  As S_m's exponents lie in [m*s_min, m*s_max], the floor can
+    cut step m only when m*(s_max - s_min) > reach (``_cut_at``).  Each
+    ``extend`` call plans the reach for its target step, depth + lag - 1,
+    from the e0 seen (``_planned``), and re-runs from S_0 if the plan is
+    larger and the window can be cut.  A walk that finds no column of
+    valuation 0 in such a window, S_m being nonzero, is a miss: the state
+    re-runs under a reach extrapolated with the miss, after a second miss
+    in one call under none.  A re-run keeps only the e0 seen.  Straddling
+    intervals and the steps after S_m has positive content (the carried
+    bound covers every column) run with no floor, as does ``term_matrix``.
 
     A query at rho is integer work: ``log_norms`` returns one numerator per
     n over a single denominator, the max over m = n..n+lag-1 of
@@ -365,11 +366,11 @@ class RecursionState:
 
     ``perfbench/tracer.py`` reads two private fields: ``_S``, a one-slot list
     whose ``_S[-1]`` holds the window as rows of entries with a ``values()``
-    method, and ``_coeff_count``, the number of nonzero coefficients computed
-    so far, re-runs included, which is also what ``budget`` bounds.  It also
-    wraps ``log_norms`` and reads its depth as the third positional argument,
-    so every norm query, ``norm_sequence`` included, is one call of that
-    method.
+    method, and ``_coeff_count``, the number of nonzero coefficients kept by
+    every step run so far, re-runs included, which is also what ``budget``
+    bounds.  It also wraps ``log_norms`` and reads its depth as the third
+    positional argument, so every norm query, ``norm_sequence`` included, is
+    one call of that method.
     """
 
     def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
@@ -445,7 +446,6 @@ class RecursionState:
             tuple(_Coeffs([1]) if i == j else _Coeffs() for j in range(mu)) for i in range(per_step)
         )
         self._S: list[tuple[tuple[_Coeffs, ...], ...]] = [self._start]
-        self._m = 0  # the step of the window; behind the hulls while a re-run replays
         self._coeff_count = per_step
         self._hulls: list[list[tuple[int, int]]] = [[(0, 0)]]
         # (lo, bound): a lower bound on v_p of each column lo + g*k of the
@@ -462,9 +462,6 @@ class RecursionState:
         # no floor when straddling 0, or when S_1 = d*Q*G already has positive content
         first = (v for row in self._pt[:per_step] for terms in row for _, v in terms)
         self._reach: Optional[int] = 0 if self._side and any(v % self.p.p for v in first) else None
-        self._cut = False  # whether the window lacks nonzero columns past the floor
-        # (points, cap) of a walk that reached the floor; the re-run resumes it
-        self._pending: Optional[tuple[list[tuple[int, int]], int]] = None
         # side*(m*out - e0), the inward distance of e0, for each step m whose walk found it
         self._inward: dict[int, int] = {0: 0}
         self.extend(depth)
@@ -474,48 +471,45 @@ class RecursionState:
         return len(self._hulls) - self._lag
 
     def extend(self, depth: int) -> None:
-        mu, p, hulls = self.rank, self.p, self._hulls
+        mu, hulls = self.rank, self._hulls
         target = depth + self._lag - 1  # the last step whose hull ``depth`` reads
         if len(hulls) > target:
             return
-        # a window cut under a floor planned for a nearer target: re-run now
-        # if the e0 seen so far ask for a lower floor at this one
-        if self._cut and self._m == len(hulls) - 1:
+        # plan the floor for this target; a window cut under a floor planned
+        # for a nearer one re-runs if the e0 seen so far ask for a lower floor
+        if self._reach is not None:
             reach = self._planned(target)
             if reach > self._reach:
+                cut = self._cut_at(len(hulls) - 1)
                 self._reach = reach
-                self._restart()
+                if cut:
+                    self._restart()
         misses = 0
         while len(hulls) <= target:
-            m = self._m
+            m = len(hulls) - 1
             # the content of S_m; S_(m+1) is an integer combination of S_m,
-            # so no column of it falls below that valuation
+            # so no column of it falls below that valuation, and from here on
+            # the carried bound covers every column with no floor
             content = -max(y for _, y in hulls[m]) if hulls[m] else 0
+            if content:
+                self._reach = None
             window = self._S[-1]
-            new_rows = self._rows(window, m, self._cap(m + 1) if self._cut else None)
+            # the floor (side 1) or ceiling (side -1) of step m + 1
+            cap = None if self._reach is None else (m + 1) * self._out - self._side * self._reach
+            new_rows = self._rows(window, m, cap)
             entries = [c for row in new_rows for c in row if c]
             self._coeff_count += sum(len(c) - c.count(0) for c in entries)
-            floored = self._reach is not None and not content
-            if floored and not self._cut and self._past(entries, m + 1):
-                # the first cut; until now the floor could drop for free
-                self._reach = max(self._reach, self._planned(target))
-                if self._past(entries, m + 1):
-                    new_rows = self._rows(window, m, self._cap(m + 1))
-                    entries = [c for row in new_rows for c in row if c]
-                    self._cut = True
             self._S[-1] = (window + new_rows)[-mu:]
-            self._m = m + 1
-            if m + 1 == len(hulls):  # a replayed step keeps its hull
-                hull = self._step_hull(entries, content, m)
-                if hull is None:
-                    # re-run under a floor extrapolated from the e0 seen, then under none
-                    misses += 1
-                    miss = (m + 1, self._reach + 1)  # e0 lies past the floor
-                    self._reach = self._planned(target, miss) if misses < 2 else None
-                    self._restart()
-                else:
-                    hulls.append(hull)
-                    self._n_minus_sp.append(m + 1 - digit_sum(m + 1, p))
+            hull = self._step_hull(entries, content, m)
+            if hull is None:
+                # re-run under a floor extrapolated from the e0 seen, then under none
+                misses += 1
+                miss = (m + 1, self._reach + 1)  # e0 lies past the floor
+                self._reach = self._planned(target, miss) if misses < 2 else None
+                self._restart()
+            else:
+                hulls.append(hull)
+                self._n_minus_sp.append(m + 1 - digit_sum(m + 1, self.p))
             if self._coeff_count > self.budget:
                 raise BudgetExceededError(
                     f"recursion stopped at n={m + 1}: {self._coeff_count} "
@@ -526,21 +520,27 @@ class RecursionState:
         self, entries: Sequence[_Coeffs], content: int, m: int
     ) -> Optional[list[tuple[int, int]]]:
         """The hull of S_(m+1) from its nonzero entries, given the content of
-        S_m; None when a one-sided walk is left unresolved."""
-        g, p = self._g, self.p
-        if not entries:
-            self._bound = None
-            return self._one_sided_hull(entries, 0, 0, m + 1) if self._cut else []
-        lo = min(c.lo for c in entries)
-        size = (max(c.lo + g * (len(c) - 1) for c in entries) - lo) // g + 1
-        if content:
+        S_m; None on a miss, a one-sided walk that finds no column of
+        valuation 0 in a window the floor can have cut."""
+        g, p, side = self._g, self.p, self._side
+        lo = min((c.lo for c in entries), default=0)
+        size = (max(c.lo + g * (len(c) - 1) for c in entries) - lo) // g + 1 if entries else 0
+        if content and entries:
             bound = self._carried_bound(m, lo, size) if self._bound else [content] * size
             self._bound = (lo, bound)
             return _refined_hull(entries, lo, bound, g, p)
         self._bound = None
-        if self._side:
-            return self._one_sided_hull(entries, lo, size, m + 1)
-        return _hull_of(entries, lo, size, g, p)
+        if not side:
+            return _hull_of(entries, lo, size, g, p)
+        # from the outer end inwards to the first column of valuation 0, e0
+        ks = range(size - 1, -1, -1) if side > 0 else range(size)
+        found = list(_walk(_column_reader(entries, lo, g), lo, g, ks, p))
+        if found and found[-1][1] == 0:
+            self._inward[m + 1] = side * ((m + 1) * self._out - found[-1][0])
+        elif self._hulls[m] and self._cut_at(m + 1):
+            # a miss: e0 can lie past the floor (S_m = 0 gives S_(m+1) = 0)
+            return None
+        return upper_hull(sorted(found))
 
     def _rows(self, window, m: int, cap: Optional[int]) -> tuple[tuple[_Coeffs, ...], ...]:
         """The rows of S_(m+1) that a step computes, all or row 0, from the
@@ -552,21 +552,18 @@ class RecursionState:
         )
 
     def _restart(self) -> None:
-        """Back to S_0, for a re-run under a lower floor; the hulls stay."""
+        """Back to S_0, for a re-run under another floor; of the steps run,
+        only the e0 seen stay, to plan the floors."""
         self._S[-1] = self._start
-        self._m = 0
-        self._cut = False
+        del self._hulls[1:], self._n_minus_sp[1:]
+        self._bound = None
 
-    def _cap(self, m: int) -> int:
-        """The floor (side 1) or ceiling (side -1) of step m's exponents."""
-        return m * self._out - self._side * self._reach
-
-    def _past(self, entries: Sequence[_Coeffs], m: int) -> bool:
-        """Whether an entry of step m reaches past its cap; its ends are nonzero."""
-        cap, g = self._cap(m), self._g
-        if self._side > 0:
-            return any(c.lo < cap for c in entries)
-        return any(c.lo + g * (len(c) - 1) > cap for c in entries)
+    def _cut_at(self, m: int) -> bool:
+        """Whether step m's rows can lack a nonzero column: the exponents of
+        S_m lie in [m*s_min, m*s_max], as S_0 = I sits at exponent 0, so the
+        floor m*s_max - reach (the ceiling m*s_min + reach) cuts them only
+        when m*(s_max - s_min) > reach."""
+        return self._reach is not None and m * self._g * self._spread > self._reach
 
     def _planned(self, target: int, miss: Optional[tuple[int, int]] = None) -> int:
         """The reach for a run to step ``target``: the newest inward distance
@@ -581,28 +578,6 @@ class RecursionState:
         if (miss or 8 * m1 >= target) and m0 < m1 and d1 > d0:
             reach += -((d0 - d1) * (target - m1) // (m1 - m0))
         return reach
-
-    def _one_sided_hull(
-        self, entries: Sequence[_Coeffs], lo: int, size: int, m: int
-    ) -> Optional[list[tuple[int, int]]]:
-        """The hull of step m by the walk from the outer end inwards to the
-        first column of valuation 0, resuming past the cap of a pending walk.
-        None, with the walk kept pending, when it runs out of columns on a
-        cut window."""
-        g, side = self._g, self._side
-        found, below = self._pending or ([], None)
-        self._pending = None
-        if side > 0:
-            ks = range(size - 1 if below is None else min(size - 1, (below - 1 - lo) // g), -1, -1)
-        else:
-            ks = range(0 if below is None else max(0, (below - lo) // g + 1), size)
-        found += _walk(_column_reader(entries, lo, g), lo, g, ks, self.p)
-        if found and found[-1][1] == 0:
-            self._inward[m] = side * (m * self._out - found[-1][0])
-        elif self._cut:
-            self._pending = (found, self._cap(m))
-            return None
-        return upper_hull(sorted(found))
 
     def _carried_bound(self, m: int, lo: int, size: int) -> list[int]:
         """A lower bound on v_p of the columns lo + g*k, k < size, of S_(m+1):
@@ -628,7 +603,7 @@ class RecursionState:
     def _next_entry(self, Si: Sequence[_Coeffs], j: int, n: int, cap: Optional[int]) -> _Coeffs:
         """Entry (i, j) of S_{n+1} from row i of S_n:
         sum_t S[i][t]*pt[t][j] + d*Q*S[i][j]' - n*d*Q'*S[i][j], without the
-        exponents past ``cap`` on the inner side if one is given."""
+        exponents below ``cap`` (side 1) or above it (side -1) if one is given."""
         g, pt, qterms = self._g, self._pt, self._qterms
         parts = [(b, pt[t][j]) for t, b in enumerate(Si) if b and pt[t][j]]
         bq = Si[j]
@@ -637,41 +612,30 @@ class RecursionState:
             return _Coeffs()
         lo = min(b.lo + terms[0][0] for b, terms in ends)
         hi = max(b.lo + g * (len(b) - 1) + terms[-1][0] for b, terms in ends)
-        if cap is not None:
-            # only the exponents on the inner side of the cap (see ``extend``)
-            if self._side > 0 and cap > lo:
-                lo -= (lo - cap) // g * g
-            elif self._side < 0 and cap < hi:
-                hi += (cap - hi) // g * g
-            if hi < lo:
-                return _Coeffs()
-        width = (hi - lo) // g + 1
-        acc = [0] * width
+        acc = [0] * ((hi - lo) // g + 1)
         for b, terms in parts:
             size = len(b)
             for s, v in terms:
                 o = (b.lo + s - lo) // g
-                src, end = b, o + size
-                if o < 0 or end > width:  # the cap cuts this term
-                    o, _, src = _overlap(b, o, width)
-                    end = o + len(src)
                 # a product by 1 still copies the big integer; skip it
                 if v == 1:
-                    acc[o:end] = [x + y for x, y in zip(acc[o:end], src)]
+                    acc[o : o + size] = [x + y for x, y in zip(acc[o : o + size], b)]
                 else:
-                    acc[o:end] = [x + v * y for x, y in zip(acc[o:end], src)]
+                    acc[o : o + size] = [x + v * y for x, y in zip(acc[o : o + size], b)]
         if bq:
             size = len(bq)
             for s, dv, dfv in qterms:
-                o, k0 = (bq.lo + s - lo) // g, 0
-                src, end = bq, o + size
-                if o < 0 or end > width:
-                    o, k0, src = _overlap(bq, o, width)
-                    end = o + len(src)
+                o = (bq.lo + s - lo) // g
                 # the multiplier d*v*(e - n*f) at the exponent e = bq.lo + g*k
-                m0, dm = dv * (bq.lo + g * k0) - n * dfv, dv * g
-                ramp = range(m0, m0 + dm * (end - o), dm)
-                acc[o:end] = [x + m * y for x, m, y in zip(acc[o:end], ramp, src)]
+                m0, dm = dv * bq.lo - n * dfv, dv * g
+                ramp = range(m0, m0 + dm * size, dm)
+                acc[o : o + size] = [x + m * y for x, m, y in zip(acc[o : o + size], ramp, bq)]
+        if cap is not None:  # keep the exponents lo + g*k >= cap (side 1), <= cap (side -1)
+            if self._side > 0:
+                k = max(0, -((lo - cap) // g))
+                acc, lo = acc[k:], lo + g * k
+            else:
+                acc = acc[: max(0, (cap - lo) // g + 1)]
         return _trimmed(acc, lo, g)
 
     # -- exact view of the current step ----------------------------------------
@@ -752,13 +716,6 @@ def _trimmed(acc: list[int], lo: int, g: int) -> _Coeffs:
     while not acc[b - 1]:
         b -= 1
     return _Coeffs(acc[a:b], lo + g * a)
-
-
-def _overlap(b: _Coeffs, o: int, width: int) -> tuple[int, int, list[int]]:
-    """The part of b that lands inside acc[0:width] when b[0] goes to acc[o]:
-    (its offset in acc, its first index in b, its coefficients)."""
-    k0 = max(0, -o)
-    return o + k0, k0, b[k0 : max(k0, width - o)]
 
 
 def _column_reader(entries: Sequence[_Coeffs], lo: int, g: int):

@@ -285,10 +285,12 @@ def sparse_module(interval=Interval(F(-1, 2), F(1, 2))):
 @pytest.mark.parametrize(
     "module, stopped",
     [
-        # a companion module: only row 0 of each S_n is computed and counted
-        # the floor planned for depth 500 is missed at step 156 and the re-run
-        # from S_0 counts again: the floorless run stopped at n=75: 20181
-        pytest.param(deep_rank3_module, "stopped at n=41: 20214 coefficients",
+        # a companion module: only row 0 of each S_n is computed and counted.
+        # extend(500) re-runs at once, as the floor planned by extend(0) for
+        # step 2 cuts its window; the floor planned for step 502 is missed at
+        # step 132, and the re-run from S_0 counts again: the floorless run
+        # stopped at n=75: 20181
+        pytest.param(deep_rank3_module, "stopped at n=53: 20102 coefficients",
                      id="deep-rank3"),
         pytest.param(lambda: frobenius_pullback(sparse_module(), 1),
                      "stopped at n=71: 20029 coefficients", id="pulled-sparse"),
@@ -411,8 +413,10 @@ def count_valuations(monkeypatch, module, depth):
 def test_only_positive_content_carries_a_bound(monkeypatch):
     # deep-rank3 has a column of valuation 0 at every step, so every hull is
     # the walk; its interval (1/2, 1) lies right of 0, so the walk goes from
-    # the right end alone to the last such column, mostly the first it reads
-    assert count_valuations(monkeypatch, deep_rank3_module(), 128) == 130
+    # the right end alone to the last such column, mostly the first it reads.
+    # Its two re-runs from S_0, at step 2 and at a miss at step 40, walk the
+    # steps before them again: a run that kept its hulls valued 130 columns
+    assert count_valuations(monkeypatch, deep_rank3_module(), 128) == 171
     # the pulled sparse module has none past S_0, where the walk would value
     # all 9,408 columns to depth 96; the carried bound values 342 of them
     assert count_valuations(monkeypatch, frobenius_pullback(sparse_module(), 1), 96) == 342
@@ -696,11 +700,16 @@ def test_one_sided_hulls_match_the_slow_path(base, interval, t):
 
 
 def floorless(m, depth):
-    """The same step loop with its cap moved past every exponent, so that
-    nothing is cut: the run with no floor."""
+    """The same step loop under a reach past every exponent, so that nothing
+    is cut: the run with no floor."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(RecursionState, "_cap", lambda state, n: -state._side * 2**62)
+        mp.setattr(RecursionState, "_planned", lambda state, target, miss=None: 2**62)
         return RecursionState(m, depth)
+
+
+def window_cut(state):
+    """Whether the newest window can lack a nonzero column."""
+    return state._cut_at(len(state._hulls) - 1)
 
 
 def count_restarts(monkeypatch):
@@ -713,7 +722,7 @@ def count_restarts(monkeypatch):
 def assert_matches_the_floorless_run(state, m, rhos):
     """Every step's hull, and log_norms with and without n! at each rho."""
     ref = floorless(m, state.depth)
-    assert ref._cut is False and ref.depth == state.depth
+    assert not window_cut(ref) and ref.depth == state.depth
     assert state._hulls == ref._hulls
     for rho in rhos:
         for include_factorial in (True, False):
@@ -738,7 +747,7 @@ def test_floored_run_matches_the_floorless_run():
         with pytest.MonkeyPatch.context() as mp:
             restarts = count_restarts(mp)
             state = gn_sequence(m, depth)
-        seen.append((state._cut, bool(restarts)))
+        seen.append((window_cut(state), bool(restarts)))
         assert_matches_the_floorless_run(
             state, m, (interval.lo, interval.hi, interval.lo + t * interval.width)
         )
@@ -748,23 +757,68 @@ def test_floored_run_matches_the_floorless_run():
     assert any(cut for cut, _ in seen) and any(rerun for _, rerun in seen), seen
 
 
+def windows_by_step(monkeypatch):
+    """(step, whether ``_cut_at`` calls the window cut, the window) after each
+    step that any state takes, re-runs included."""
+    seen = []
+    real = RecursionState._step_hull
+
+    def step_hull(state, entries, content, m):
+        window = [[(c.lo, list(c)) for c in row] for row in state._S[-1]]
+        seen.append((m + 1, state._cut_at(m + 1), window))
+        return real(state, entries, content, m)
+
+    monkeypatch.setattr(RecursionState, "_step_hull", step_hull)
+    return seen
+
+
+def test_an_uncut_window_is_the_floorless_window():
+    """Miss detection trusts ``_cut_at``: a window it calls uncut holds every
+    nonzero column of the floorless run's window."""
+    calls = []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        base=st.one_of(small_modules().map(lambda case: case[0]), companion_modules()),
+        interval=side_intervals().filter(lambda iv: iv.lo >= 0 or iv.hi <= 0),
+        depth=st.integers(8, 24),
+    )
+    def check(base, interval, depth):
+        m = DiffModule(base.p, base.matrix, interval)
+        with pytest.MonkeyPatch.context() as mp:
+            floored = windows_by_step(mp)
+            gn_sequence(m, depth)
+        with pytest.MonkeyPatch.context() as mp:
+            ref = windows_by_step(mp)
+            floorless(m, depth)
+        want = {step: window for step, _, window in ref}
+        for step, cut, window in floored:
+            if not cut:
+                assert window == want[step], step
+        calls.extend(cut for _, cut, _ in floored)
+
+    check()
+    assert any(calls) and not all(calls)
+
+
 def test_floored_run_on_the_benchmark_module(monkeypatch):
     # deep-rank3: its e0 drifts inwards by about one column every other
-    # step, so the first floor, planned on a few steps, is missed once
+    # step, so the floor that extend(128) plans on the first steps is missed
     restarts = count_restarts(monkeypatch)
     m = deep_rank3_module()
     state = gn_sequence(m, 128)
-    assert len(restarts) >= 1 and state._reach is not None and state._cut
+    assert len(restarts) >= 1 and state._reach is not None and window_cut(state)
     assert_matches_the_floorless_run(state, m, (F(1, 2), F(3, 4), 1))
 
 
 @pytest.mark.parametrize("interval", [Interval(F(1, 2), 1), Interval(-1, F(-1, 2))])
 def test_an_empty_window_is_not_a_cut_one(monkeypatch, interval):
-    # S_n = 0 from n = 2: its walk finds no column, and nothing was cut
+    # S_n = 0 from n = 2, so the walk finds no column; a window the floor
+    # can cut, as the last ones, is then no miss, as S_(n-1) = 0 gives S_n = 0
     restarts = count_restarts(monkeypatch)
     m = DiffModule(P2, RFMatrix.from_strings([["0", "1"], ["0", "0"]]), interval)
     state = gn_sequence(m, 40)
-    assert not restarts and not state._cut and state._reach is not None
+    assert not restarts and window_cut(state) and state._reach is not None
     assert state._hulls[2:] == [[]] * (len(state._hulls) - 2)
     assert_matches_the_floorless_run(state, m, (interval.lo, interval.hi))
 
@@ -779,18 +833,21 @@ def test_positive_content_runs_with_no_floor(monkeypatch):
 
 
 def test_coefficient_counts_of_the_floored_runs():
-    # every nonzero coefficient computed; the floorless runs count 20,742 and
-    # 65,539.  The x^1000 module keeps one column a step: its e0 is the top
-    assert gn_sequence(wide_module(), 72)._coeff_count == 1498
+    # every nonzero coefficient kept; the floorless runs count 20,742 and
+    # 65,539.  The floor is planned before the first step it cuts, so that
+    # step counts only its columns past the floor (7 fewer here than when it
+    # counted the uncut step first).  The x^1000 module keeps one column a
+    # step, its e0 being the top, from S_1 on (one fewer)
+    assert gn_sequence(wide_module(), 72)._coeff_count == 1491
     gap = DiffModule(P2, RFMatrix.from_strings([["x^1000", "1"], ["0", "0"]]), Interval(F(1, 2), 2))
-    assert gn_sequence(gap, 256)._coeff_count == 259
+    assert gn_sequence(gap, 256)._coeff_count == 258
 
 
 @pytest.mark.parametrize("module", [deep_rank3_module, wide_module], ids=["companion", "rank-2"])
 def test_term_matrix_rebuilds_any_step(module):
     m = module()
     state = gn_sequence(m, 12)
-    assert state._cut  # the window holds only the columns past the floor
+    assert window_cut(state)  # the window holds only the columns past the floor
     direct = RFMatrix.identity(m.rank)
     for n in range(13):
         assert state.term_matrix(n) == direct
