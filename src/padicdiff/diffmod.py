@@ -340,22 +340,33 @@ class RecursionState:
     step.  The hull stays exact: a true vertex lies strictly above the hull
     of the other points, so its bound point does too.
 
-    On an interval with lo >= 0 no column below e0 is read, so S_m is kept
-    only at exponents >= its floor A_m = m*s_max - reach (mirrored for
-    hi <= 0: <= m*s_min + reach), s_max and s_min the largest and least
-    shifts of a step.  Column c of S_(m+1) draws on columns c - s_max ..
-    c - s_min of S_m, so its columns >= A_(m+1) = A_m + s_max come from
-    stored, exact ones alone; a step computes each entry whole, then drops
-    the rest.  As S_m's exponents lie in [m*s_min, m*s_max], the floor can
-    cut step m only when m*(s_max - s_min) > reach (``_cut_at``).  Each
-    ``extend`` call plans the reach for its target step, depth + lag - 1,
-    from the e0 seen (``_planned``), and re-runs from S_0 if the plan is
-    larger and the window can be cut.  A walk that finds no column of
-    valuation 0 in such a window, S_m being nonzero, is a miss: the state
+    On an interval with lo >= 0 no column below e0 is read, so each entry j
+    of S_m is kept only at exponents >= its own floor U_m[j] - reach, U_m[j]
+    a bound on its exponents (mirrored for hi <= 0: a ceiling over a least
+    exponent), s_max and s_min the largest and least shifts of a step.  The
+    state keeps the slack m*s_max - U_m[j] of each entry: 0 on the diagonal
+    of S_0 = I, and at step m + 1 the least over the sources t of entry j,
+    those with a term of d*Q*G[t][j] and j itself for Q, of the slack of t
+    plus s_max - s, s the source's largest shift (``_next_slack``).  Column
+    c of entry j of S_(m+1) draws on columns >= c - s of each source t, so
+    its columns at or past its floor come from stored, exact ones alone; a
+    step computes each entry whole, then drops the rest.  Below the highest
+    floor, that of the least slack, some entry lacks columns, so the walk
+    stops there.  If a diagonal entry of S_0 feeds itself at s_max, its
+    slack stays 0, and the one floor m*s_max - reach, the highest, serves
+    every entry: moving by s_max a step, it keeps exact columns alone too,
+    so the state keeps no slack.  As S_m's exponents are >= m*s_min, the
+    floors can cut step m only when the highest lies above m*s_min
+    (``_cut_at``).  Each ``extend`` call plans the reach for its target
+    step, depth + lag - 1, from the inward distances max U_m - e0 seen
+    (``_planned``), and re-runs from S_0 if the plan is larger and the
+    window can be cut.  A walk that finds no column of valuation 0 above the
+    highest floor of such a window, S_m being nonzero, is a miss: the state
     re-runs under a reach extrapolated with the miss, after a second miss
     in one call under none.  A re-run keeps only the e0 seen.  Straddling
     intervals and the steps after S_m has positive content (the carried
-    bound covers every column) run with no floor, as does ``term_matrix``.
+    bound covers every column) run with no floor and compute no slack, as
+    does ``term_matrix``.
 
     A query at rho is integer work: ``log_norms`` returns one numerator per
     n over a single denominator, the max over m = n..n+lag-1 of
@@ -367,17 +378,17 @@ class RecursionState:
     ``perfbench/tracer.py`` reads two private fields: ``_S``, a one-slot list
     whose ``_S[-1]`` holds the window as rows of entries with a ``values()``
     method, and ``_coeff_count``, the number of nonzero coefficients kept by
-    every step run so far, re-runs included, which is also what ``budget``
-    bounds.  It also wraps ``log_norms`` and reads its depth as the third
-    positional argument, so every norm query, ``norm_sequence`` included, is
-    one call of that method.
+    every step run so far, re-runs included, which is also what the
+    ``budget`` of an ``extend`` call bounds, for that call alone.  It also
+    wraps ``log_norms`` and reads its depth as the third positional
+    argument, so every norm query, ``norm_sequence`` included, is one call
+    of that method.
     """
 
     def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
         self.p = module.p
         self.rank = module.rank
         self.interval = module.interval
-        self.budget = budget
         mu = module.rank
 
         reduced = [[e.reduce() for e in row] for row in module.matrix.rows]
@@ -454,23 +465,46 @@ class RecursionState:
         self._n_minus_sp = [0]
         self._vp_d = padic_valuation(d, self.p)
 
-        # the floor (lo >= 0, side 1) or ceiling (hi <= 0, side -1) of a
-        # one-sided interval: S_m keeps the exponents e with
-        # side*(m*out - e) <= reach, out the outermost shift (see the docstring)
-        self._side = 1 if self.interval.lo >= 0 else -1 if self.interval.hi <= 0 else 0
-        self._out = max(shifts) if self._side > 0 else least
+        # the floors (lo >= 0, side 1) or ceilings (hi <= 0, side -1) of a
+        # one-sided interval: entry j of S_m keeps the exponents e with
+        # side*(m*out - e) <= reach + its slack, out the outermost shift (see
+        # the docstring)
+        self._side = side = 1 if self.interval.lo >= 0 else -1 if self.interval.hi <= 0 else 0
+        self._out = max(shifts) if side > 0 else least
         # no floor when straddling 0, or when S_1 = d*Q*G already has positive content
         first = (v for row in self._pt[:per_step] for terms in row for _, v in terms)
-        self._reach: Optional[int] = 0 if self._side and any(v % self.p.p for v in first) else None
-        # side*(m*out - e0), the inward distance of e0, for each step m whose walk found it
+        self._reach: Optional[int] = 0 if side and any(v % self.p.p for v in first) else None
+        # the slack of each entry of the newest step if kept, and the least
+        self._slack: Optional[list[list[int]]] = None
+        self._least = 0
+        if self._reach is not None:
+            # the sources of entry j, the terms of d*Q*G[t][j] and those of Q
+            # on entry j itself, as (t, side*(out - s)) for the outermost shift s
+            o = -1 if side > 0 else 0
+            self._sources = [
+                [(t, side * (self._out - row[j][o][0])) for t, row in enumerate(self._pt) if row[j]]
+                + [(j, side * (self._out - self._qterms[o][0]))]
+                for j in range(mu)
+            ]
+            # the slack of S_0 = I: 0 on its diagonal, _NEVER for a zero entry;
+            # none is kept if a diagonal entry feeds itself at the outermost
+            # shift, as one floor then serves every entry (see the docstring)
+            slack = [[0 if c else _NEVER for c in row] for row in self._start]
+            loops = [j for j, src in enumerate(self._sources) if (j, 0) in src]
+            self._start_slack = None if any(not row[j] for row in slack for j in loops) else slack
+            self._slack = self._start_slack
+        # side*(m*out - e0) less the least slack, the inward distance of e0
+        # from its bound, for each step m whose walk found it
         self._inward: dict[int, int] = {0: 0}
-        self.extend(depth)
+        self.extend(depth, budget)
 
     @property
     def depth(self) -> int:
         return len(self._hulls) - self._lag
 
-    def extend(self, depth: int) -> None:
+    def extend(self, depth: int, budget: int = DEFAULT_COEFF_BUDGET) -> None:
+        """Run the steps to ``depth``; raises ``BudgetExceededError`` once the
+        coefficients computed, earlier calls included, exceed ``budget``."""
         mu, hulls = self.rank, self._hulls
         target = depth + self._lag - 1  # the last step whose hull ``depth`` reads
         if len(hulls) > target:
@@ -494,9 +528,15 @@ class RecursionState:
             if content:
                 self._reach = None
             window = self._S[-1]
-            # the floor (side 1) or ceiling (side -1) of step m + 1
-            cap = None if self._reach is None else (m + 1) * self._out - self._side * self._reach
-            new_rows = self._rows(window, m, cap)
+            # the floor (side 1) or ceiling (side -1) of step m + 1, moved in
+            # by each entry's slack if the slack is kept
+            cap = slack = None
+            if self._reach is not None:
+                if self._slack is not None:
+                    self._slack = self._next_slack()
+                    self._least = min(map(min, self._slack))
+                cap, slack = (m + 1) * self._out - self._side * self._reach, self._slack
+            new_rows = self._rows(window, m, cap, slack)
             entries = [c for row in new_rows for c in row if c]
             self._coeff_count += sum(len(c) - c.count(0) for c in entries)
             self._S[-1] = (window + new_rows)[-mu:]
@@ -510,10 +550,10 @@ class RecursionState:
             else:
                 hulls.append(hull)
                 self._n_minus_sp.append(m + 1 - digit_sum(m + 1, self.p))
-            if self._coeff_count > self.budget:
+            if self._coeff_count > budget:
                 raise BudgetExceededError(
                     f"recursion stopped at n={m + 1}: {self._coeff_count} "
-                    f"coefficients computed exceed budget {self.budget}"
+                    f"coefficients computed exceed budget {budget}"
                 )
 
     def _step_hull(
@@ -532,23 +572,40 @@ class RecursionState:
         self._bound = None
         if not side:
             return _hull_of(entries, lo, size, g, p)
-        # from the outer end inwards to the first column of valuation 0, e0
-        ks = range(size - 1, -1, -1) if side > 0 else range(size)
-        found = list(_walk(_column_reader(entries, lo, g), lo, g, ks, p))
+        # from the outer end inwards to the first column of valuation 0, e0;
+        # under floors of their own, only on the columns past the highest
+        # floor (the lowest ceiling), where no entry is cut
+        ks = range(size)
+        if self._slack is not None and self._reach is not None:
+            # the k that ``_next_entry`` keeps under that floor
+            top = (m + 1) * self._out - side * (self._reach + self._least)
+            if side > 0:
+                ks = range(max(0, -((lo - top) // g)), size)
+            else:
+                ks = range(min(size, (top - lo) // g + 1))
+        found = list(_walk(_column_reader(entries, lo, g), lo, g, ks[::-side], p))
         if found and found[-1][1] == 0:
-            self._inward[m + 1] = side * ((m + 1) * self._out - found[-1][0])
+            self._inward[m + 1] = side * ((m + 1) * self._out - found[-1][0]) - self._least
         elif self._hulls[m] and self._cut_at(m + 1):
             # a miss: e0 can lie past the floor (S_m = 0 gives S_(m+1) = 0)
             return None
         return upper_hull(sorted(found))
 
-    def _rows(self, window, m: int, cap: Optional[int]) -> tuple[tuple[_Coeffs, ...], ...]:
+    def _rows(
+        self, window, m: int, cap: Optional[int], slack=None
+    ) -> tuple[tuple[_Coeffs, ...], ...]:
         """The rows of S_(m+1) that a step computes, all or row 0, from the
-        newest rows of the window of S_m; cut at ``cap`` if one is given."""
-        per_step = self.rank // self._lag
+        newest rows of the window of S_m; cut at ``cap`` if one is given,
+        moved in by slack[i][j] for entry (i, j) if a slack is given."""
+        rows = window[-(self.rank // self._lag) :]
+        if slack is None:
+            return tuple(
+                tuple(self._next_entry(Si, j, m, cap) for j in range(self.rank)) for Si in rows
+            )
+        side = self._side
         return tuple(
-            tuple(self._next_entry(Si, j, m, cap) for j in range(self.rank))
-            for Si in window[-per_step:]
+            tuple(self._next_entry(Si, j, m, cap - side * e) for j, e in enumerate(row_slack))
+            for Si, row_slack in zip(rows, slack)
         )
 
     def _restart(self) -> None:
@@ -557,13 +614,22 @@ class RecursionState:
         self._S[-1] = self._start
         del self._hulls[1:], self._n_minus_sp[1:]
         self._bound = None
+        if self._reach is not None:
+            self._slack, self._least = self._start_slack, 0
+
+    def _next_slack(self) -> list[list[int]]:
+        """The slack of the next step: for each entry, the least over its
+        sources t of the slack of t plus side*(out - s), s the source's
+        outermost shift."""
+        return [[min([e[t] + d for t, d in src]) for src in self._sources] for e in self._slack]
 
     def _cut_at(self, m: int) -> bool:
-        """Whether step m's rows can lack a nonzero column: the exponents of
-        S_m lie in [m*s_min, m*s_max], as S_0 = I sits at exponent 0, so the
-        floor m*s_max - reach (the ceiling m*s_min + reach) cuts them only
-        when m*(s_max - s_min) > reach."""
-        return self._reach is not None and m * self._g * self._spread > self._reach
+        """Whether step m's rows, the newest, can lack a nonzero column: the
+        exponents of S_m lie in [m*s_min, m*s_max], as S_0 = I sits at
+        exponent 0, so the floors, the highest m*s_max - reach - least slack
+        (mirrored for the ceilings), cut them only when m*(s_max - s_min) >
+        reach + least slack."""
+        return self._reach is not None and m * self._g * self._spread > self._reach + self._least
 
     def _planned(self, target: int, miss: Optional[tuple[int, int]] = None) -> int:
         """The reach for a run to step ``target``: the newest inward distance
@@ -827,8 +893,7 @@ def gn_sequence(
     if depth < 0:
         raise InputError("depth must be nonnegative")
     state = module._state
-    state.budget = budget
-    state.extend(depth)
+    state.extend(depth, budget)
     return state
 
 

@@ -286,11 +286,11 @@ def sparse_module(interval=Interval(F(-1, 2), F(1, 2))):
     "module, stopped",
     [
         # a companion module: only row 0 of each S_n is computed and counted.
-        # extend(500) re-runs at once, as the floor planned by extend(0) for
-        # step 2 cuts its window; the floor planned for step 502 is missed at
-        # step 132, and the re-run from S_0 counts again: the floorless run
-        # stopped at n=75: 20181
-        pytest.param(deep_rank3_module, "stopped at n=53: 20102 coefficients",
+        # extend(500) re-runs once, at once, as the floors planned by
+        # extend(0) for step 2 cut its window; each entry's floor follows its
+        # own exponent bound, which its e0 meets, so no floor is missed: the
+        # floorless run stopped at n=75: 20181
+        pytest.param(deep_rank3_module, "stopped at n=118: 20169 coefficients",
                      id="deep-rank3"),
         pytest.param(lambda: frobenius_pullback(sparse_module(), 1),
                      "stopped at n=71: 20029 coefficients", id="pulled-sparse"),
@@ -300,6 +300,18 @@ def test_budget_stops_at_the_same_step(module, stopped):
     # the budget counts nonzero coefficients, not the zeros inside the dense lists
     with pytest.raises(BudgetExceededError, match=stopped):
         gn_sequence(module(), 500, budget=20_000)
+
+
+def test_a_failed_call_leaves_no_budget_behind():
+    # the budget bounds one call; the stop, in a re-run, leaves the state at
+    # a lower depth, and the next call grows it back under its own budget
+    m = deep_rank3_module()
+    state = gn_sequence(m, 128)
+    before = state.log_norms(F(3, 4), 128)
+    with pytest.raises(BudgetExceededError):
+        gn_sequence(m, 500, budget=20_000)
+    assert state.depth < 128
+    assert state.log_norms(F(3, 4), 128) == before
 
 
 def test_state_holds_one_step_not_the_history():
@@ -413,10 +425,11 @@ def count_valuations(monkeypatch, module, depth):
 def test_only_positive_content_carries_a_bound(monkeypatch):
     # deep-rank3 has a column of valuation 0 at every step, so every hull is
     # the walk; its interval (1/2, 1) lies right of 0, so the walk goes from
-    # the right end alone to the last such column, mostly the first it reads.
-    # Its two re-runs from S_0, at step 2 and at a miss at step 40, walk the
-    # steps before them again: a run that kept its hulls valued 130 columns
-    assert count_valuations(monkeypatch, deep_rank3_module(), 128) == 171
+    # the right end alone to the last such column, the first it reads, as
+    # that column meets the exponent bound of its entry.  Its one re-run from
+    # S_0, at step 2, walks the two steps before it again: a run that kept
+    # its hulls valued 130 columns
+    assert count_valuations(monkeypatch, deep_rank3_module(), 128) == 132
     # the pulled sparse module has none past S_0, where the walk would value
     # all 9,408 columns to depth 96; the carried bound values 342 of them
     assert count_valuations(monkeypatch, frobenius_pullback(sparse_module(), 1), 96) == 342
@@ -802,24 +815,60 @@ def test_an_uncut_window_is_the_floorless_window():
 
 
 def test_floored_run_on_the_benchmark_module(monkeypatch):
-    # deep-rank3: its e0 drifts inwards by about one column every other
-    # step, so the floor that extend(128) plans on the first steps is missed
+    # deep-rank3: its e0 lies at the exponent bound of its entry at every
+    # step, where m*s_max runs ahead of it by m/2, so the floors that
+    # extend(128) plans are never missed; the one re-run is the re-plan of
+    # the floors that extend(0) planned for step 2
     restarts = count_restarts(monkeypatch)
     m = deep_rank3_module()
     state = gn_sequence(m, 128)
-    assert len(restarts) >= 1 and state._reach is not None and window_cut(state)
+    assert len(restarts) == 1 and state._reach is not None and window_cut(state)
+    assert set(state._inward.values()) == {0}
     assert_matches_the_floorless_run(state, m, (F(1, 2), F(3, 4), 1))
 
 
-@pytest.mark.parametrize("interval", [Interval(F(1, 2), 1), Interval(-1, F(-1, 2))])
-def test_an_empty_window_is_not_a_cut_one(monkeypatch, interval):
-    # S_n = 0 from n = 2, so the walk finds no column; a window the floor
-    # can cut, as the last ones, is then no miss, as S_(n-1) = 0 gives S_n = 0
+@pytest.mark.parametrize(
+    "rows, interval, per_entry",
+    [
+        # the drift of the top entry grows, so each entry keeps a floor of
+        # its own; reading on below the highest one finds a wrong hull
+        ([["1/(1+2*x)", "0"], ["x", "1"]], Interval(F(1, 8), F(1, 4)), True),
+        # entry (1, 1) feeds itself at the outermost shift, so the state runs
+        # under one floor for all entries
+        ([["3", "x"], ["0", "2*x"]], Interval(F(1, 8), F(3, 8)), False),
+    ],
+    ids=["own-floors", "one-floor"],
+)
+def test_the_walk_stops_at_the_highest_floor(rows, interval, per_entry):
+    # under floors of their own, the entries of a step are cut at different
+    # exponents; below the highest floor a walk that read on would value
+    # columns that lack the coefficients of the entry cut there
+    m = DiffModule(P2, RFMatrix.from_strings(rows), interval)
+    state = gn_sequence(m, 16)
+    assert window_cut(state) and (state._slack is not None) == per_entry
+    assert_matches_the_floorless_run(state, m, (interval.lo, interval.hi))
+
+
+@pytest.mark.parametrize(
+    "p, rows, interval, zero_from",
+    [
+        # G_n = Y^(n) Y^-1 for Y = [[1 + x^2, x], [x, 1]], det Y = 1; the
+        # exponent bounds grow by 2 a step, so the floors cut from step 4
+        (3, [["x", "1 - x^2"], ["1", "-x"]], Interval(F(1, 2), 1), 3),
+        # the ceilings move in by 1 a step where the exponents stay at 0 and 1
+        (2, [["0", "1"], ["0", "0"]], Interval(-1, F(-1, 2)), 2),
+    ],
+    ids=["floor", "ceiling"],
+)
+def test_an_empty_window_is_not_a_cut_one(monkeypatch, p, rows, interval, zero_from):
+    # S_n = 0 from n = zero_from, so the walk finds no column; a window the
+    # floors can cut, as the last ones, is then no miss, as S_(n-1) = 0
+    # gives S_n = 0
     restarts = count_restarts(monkeypatch)
-    m = DiffModule(P2, RFMatrix.from_strings([["0", "1"], ["0", "0"]]), interval)
+    m = DiffModule(Prime(p), RFMatrix.from_strings(rows), interval)
     state = gn_sequence(m, 40)
     assert not restarts and window_cut(state) and state._reach is not None
-    assert state._hulls[2:] == [[]] * (len(state._hulls) - 2)
+    assert state._hulls[zero_from:] == [[]] * (len(state._hulls) - zero_from)
     assert_matches_the_floorless_run(state, m, (interval.lo, interval.hi))
 
 
