@@ -355,13 +355,12 @@ class RecursionState:
     stops there.  If a diagonal entry of S_0 feeds itself at s_max, its
     slack stays 0, and the one floor m*s_max - reach, the highest, serves
     every entry: moving by s_max a step, it keeps exact columns alone too,
-    so the state keeps no slack.  As S_m's exponents are >= m*s_min, the
-    floors can cut step m only when the highest lies above m*s_min
-    (``_cut_at``).  Each ``extend`` call plans the reach for its target
-    step, depth + lag - 1, from the inward distances max U_m - e0 seen
-    (``_planned``), and re-runs from S_0 if the plan is larger and the
-    window can be cut.  A walk that finds no column of valuation 0 above the
-    highest floor of such a window, S_m being nonzero, is a miss: the state
+    so the state keeps no slack.  Until a floor drops a nonzero coefficient
+    (``_dropped``), the window is the floorless one.  Each ``extend`` call
+    plans the reach for its target step, depth + lag - 1, from the inward
+    distances max U_m - e0 seen (``_planned``), and re-runs from S_0 if the
+    plan is larger and a floor has dropped one.  A walk that then finds no
+    column of valuation 0 above the highest floor is a miss: the state
     re-runs under a reach extrapolated with the miss, after a second miss
     in one call under none.  A re-run keeps only the e0 seen.  Straddling
     intervals and the steps after S_m has positive content (the carried
@@ -496,6 +495,9 @@ class RecursionState:
         # side*(m*out - e0) less the least slack, the inward distance of e0
         # from its bound, for each step m whose walk found it
         self._inward: dict[int, int] = {0: 0}
+        # whether a floor has dropped a nonzero coefficient since S_0: until
+        # then the window is the floorless one
+        self._dropped = False
         self.extend(depth, budget)
 
     @property
@@ -514,9 +516,8 @@ class RecursionState:
         if self._reach is not None:
             reach = self._planned(target)
             if reach > self._reach:
-                cut = self._cut_at(len(hulls) - 1)
                 self._reach = reach
-                if cut:
+                if self._dropped:
                     self._restart()
         misses = 0
         while len(hulls) <= target:
@@ -561,7 +562,7 @@ class RecursionState:
     ) -> Optional[list[tuple[int, int]]]:
         """The hull of S_(m+1) from its nonzero entries, given the content of
         S_m; None on a miss, a one-sided walk that finds no column of
-        valuation 0 in a window the floor can have cut."""
+        valuation 0 once a floor has dropped a nonzero coefficient."""
         g, p, side = self._g, self.p, self._side
         lo = min((c.lo for c in entries), default=0)
         size = (max(c.lo + g * (len(c) - 1) for c in entries) - lo) // g + 1 if entries else 0
@@ -573,10 +574,10 @@ class RecursionState:
         if not side:
             return _hull_of(entries, lo, size, g, p)
         # from the outer end inwards to the first column of valuation 0, e0;
-        # under floors of their own, only on the columns past the highest
-        # floor (the lowest ceiling), where no entry is cut
+        # under floors of their own that have dropped one, only on the columns
+        # past the highest floor (the lowest ceiling), where no entry is cut
         ks = range(size)
-        if self._slack is not None and self._reach is not None:
+        if self._dropped and self._slack is not None:
             # the k that ``_next_entry`` keeps under that floor
             top = (m + 1) * self._out - side * (self._reach + self._least)
             if side > 0:
@@ -586,8 +587,8 @@ class RecursionState:
         found = list(_walk(_column_reader(entries, lo, g), lo, g, ks[::-side], p))
         if found and found[-1][1] == 0:
             self._inward[m + 1] = side * ((m + 1) * self._out - found[-1][0]) - self._least
-        elif self._hulls[m] and self._cut_at(m + 1):
-            # a miss: e0 can lie past the floor (S_m = 0 gives S_(m+1) = 0)
+        elif self._dropped:
+            # a miss: e0 can lie past the floor
             return None
         return upper_hull(sorted(found))
 
@@ -614,6 +615,7 @@ class RecursionState:
         self._S[-1] = self._start
         del self._hulls[1:], self._n_minus_sp[1:]
         self._bound = None
+        self._dropped = False
         if self._reach is not None:
             self._slack, self._least = self._start_slack, 0
 
@@ -623,26 +625,22 @@ class RecursionState:
         outermost shift."""
         return [[min([e[t] + d for t, d in src]) for src in self._sources] for e in self._slack]
 
-    def _cut_at(self, m: int) -> bool:
-        """Whether step m's rows, the newest, can lack a nonzero column: the
-        exponents of S_m lie in [m*s_min, m*s_max], as S_0 = I sits at
-        exponent 0, so the floors, the highest m*s_max - reach - least slack
-        (mirrored for the ceilings), cut them only when m*(s_max - s_min) >
-        reach + least slack."""
-        return self._reach is not None and m * self._g * self._spread > self._reach + self._least
-
     def _planned(self, target: int, miss: Optional[tuple[int, int]] = None) -> int:
         """The reach for a run to step ``target``: the newest inward distance
-        d of e0, extrapolated along the slope of d over the newer half of the
-        steps seen (with a miss, its step and least d), plus 2 + target/8
-        strides.  Before a miss, fewer than target/8 steps are not
-        extrapolated: a miss then costs a short re-run."""
+        d of e0 (with a miss, its step and least d), plus 2 strides and the
+        largest change of d between consecutive steps seen, so it follows
+        the d seen, not the target.  On a miss, or once target/8 steps are
+        seen, d is extrapolated to ``target`` along the steeper of its slope
+        over the newer half of the steps seen and its mean slope since S_0:
+        on a short history the newer half alone can miss a drift."""
         seen = list(self._inward.items()) + ([miss] if miss else [])
         m1, d1 = seen[-1]
-        reach = d1 + self._g * (2 + target // 8)
+        jump = max((abs(b - a) for (_, a), (_, b) in zip(seen, seen[1:])), default=0)
+        reach = d1 + 2 * self._g + jump
         m0, d0 = next((m, d) for m, d in seen if m >= m1 // 2)
-        if (miss or 8 * m1 >= target) and m0 < m1 and d1 > d0:
-            reach += -((d0 - d1) * (target - m1) // (m1 - m0))
+        if (miss or 8 * m1 >= target) and m1:
+            span = target - m1
+            reach += max(-(-d1 * span // m1), -((d0 - d1) * span // max(m1 - m0, 1)))
         return reach
 
     def _carried_bound(self, m: int, lo: int, size: int) -> list[int]:
@@ -699,9 +697,12 @@ class RecursionState:
         if cap is not None:  # keep the exponents lo + g*k >= cap (side 1), <= cap (side -1)
             if self._side > 0:
                 k = max(0, -((lo - cap) // g))
-                acc, lo = acc[k:], lo + g * k
+                kept, cut, lo = slice(k, None), slice(k), lo + g * k
             else:
-                acc = acc[: max(0, (cap - lo) // g + 1)]
+                k = max(0, (cap - lo) // g + 1)
+                kept, cut = slice(k), slice(k, None)
+            self._dropped = self._dropped or any(acc[cut])
+            acc = acc[kept]
         return _trimmed(acc, lo, g)
 
     # -- exact view of the current step ----------------------------------------

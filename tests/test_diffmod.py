@@ -283,35 +283,40 @@ def sparse_module(interval=Interval(F(-1, 2), F(1, 2))):
 
 
 @pytest.mark.parametrize(
-    "module, stopped",
+    "module, budget, stopped",
     [
         # a companion module: only row 0 of each S_n is computed and counted.
-        # extend(500) re-runs once, at once, as the floors planned by
-        # extend(0) for step 2 cut its window; each entry's floor follows its
-        # own exponent bound, which its e0 meets, so no floor is missed: the
-        # floorless run stopped at n=75: 20181
-        pytest.param(deep_rank3_module, "stopped at n=118: 20169 coefficients",
+        # Its e0 meets the exponent bound of its entry at every step, so the
+        # floors keep 2 columns below it and are never missed: the run to 500
+        # keeps 4,506 coefficients, and a budget of 3,000 stops it (one of
+        # 20,000 stopped the floorless run at n=75: 20181)
+        pytest.param(deep_rank3_module, 3_000, "stopped at n=335: 3003 coefficients",
                      id="deep-rank3"),
-        pytest.param(lambda: frobenius_pullback(sparse_module(), 1),
+        pytest.param(lambda: frobenius_pullback(sparse_module(), 1), 20_000,
                      "stopped at n=71: 20029 coefficients", id="pulled-sparse"),
     ],
 )
-def test_budget_stops_at_the_same_step(module, stopped):
+def test_budget_stops_at_the_same_step(module, budget, stopped):
     # the budget counts nonzero coefficients, not the zeros inside the dense lists
     with pytest.raises(BudgetExceededError, match=stopped):
-        gn_sequence(module(), 500, budget=20_000)
+        gn_sequence(module(), 500, budget=budget)
 
 
 def test_a_failed_call_leaves_no_budget_behind():
-    # the budget bounds one call; the stop, in a re-run, leaves the state at
-    # a lower depth, and the next call grows it back under its own budget
+    # the budget bounds one call; the stop keeps the steps run so far (the
+    # floors planned for 128 serve 500 too, so nothing re-runs; the run to 500
+    # keeps 4,506 coefficients, and this budget is 3,000), and the next call
+    # grows the state on under its own budget
     m = deep_rank3_module()
     state = gn_sequence(m, 128)
     before = state.log_norms(F(3, 4), 128)
     with pytest.raises(BudgetExceededError):
-        gn_sequence(m, 500, budget=20_000)
-    assert state.depth < 128
+        gn_sequence(m, 500, budget=3_000)
+    assert 128 < state.depth < 500
     assert state.log_norms(F(3, 4), 128) == before
+    assert state.log_norms(F(3, 4), 500) == gn_sequence(deep_rank3_module(), 500).log_norms(
+        F(3, 4), 500
+    )
 
 
 def test_state_holds_one_step_not_the_history():
@@ -426,10 +431,9 @@ def test_only_positive_content_carries_a_bound(monkeypatch):
     # deep-rank3 has a column of valuation 0 at every step, so every hull is
     # the walk; its interval (1/2, 1) lies right of 0, so the walk goes from
     # the right end alone to the last such column, the first it reads, as
-    # that column meets the exponent bound of its entry.  Its one re-run from
-    # S_0, at step 2, walks the two steps before it again: a run that kept
-    # its hulls valued 130 columns
-    assert count_valuations(monkeypatch, deep_rank3_module(), 128) == 132
+    # that column meets the exponent bound of its entry.  The floors planned
+    # from those columns are never missed, so no step is walked twice
+    assert count_valuations(monkeypatch, deep_rank3_module(), 128) == 130
     # the pulled sparse module has none past S_0, where the walk would value
     # all 9,408 columns to depth 96; the carried bound values 342 of them
     assert count_valuations(monkeypatch, frobenius_pullback(sparse_module(), 1), 96) == 342
@@ -721,8 +725,13 @@ def floorless(m, depth):
 
 
 def window_cut(state):
-    """Whether the newest window can lack a nonzero column."""
-    return state._cut_at(len(state._hulls) - 1)
+    """Whether the newest window, that of step m, can lack a nonzero column:
+    the exponents of S_m lie in [m*s_min, m*s_max], as S_0 = I sits at
+    exponent 0, so the floors, the highest m*s_max - reach - least slack
+    (mirrored for the ceilings), can cut it only when m*(s_max - s_min) >
+    reach + least slack."""
+    m = len(state._hulls) - 1
+    return state._reach is not None and m * state._g * state._spread > state._reach + state._least
 
 
 def count_restarts(monkeypatch):
@@ -771,14 +780,14 @@ def test_floored_run_matches_the_floorless_run():
 
 
 def windows_by_step(monkeypatch):
-    """(step, whether ``_cut_at`` calls the window cut, the window) after each
-    step that any state takes, re-runs included."""
+    """(step, whether a floor has dropped a nonzero coefficient since S_0, the
+    window) after each step that any state takes, re-runs included."""
     seen = []
     real = RecursionState._step_hull
 
     def step_hull(state, entries, content, m):
         window = [[(c.lo, list(c)) for c in row] for row in state._S[-1]]
-        seen.append((m + 1, state._cut_at(m + 1), window))
+        seen.append((m + 1, state._dropped, window))
         return real(state, entries, content, m)
 
     monkeypatch.setattr(RecursionState, "_step_hull", step_hull)
@@ -786,8 +795,9 @@ def windows_by_step(monkeypatch):
 
 
 def test_an_uncut_window_is_the_floorless_window():
-    """Miss detection trusts ``_cut_at``: a window it calls uncut holds every
-    nonzero column of the floorless run's window."""
+    """Miss detection trusts ``_dropped``: a window whose run has dropped no
+    nonzero coefficient holds every nonzero column of the floorless run's
+    window."""
     calls = []
 
     @settings(max_examples=30, deadline=None)
@@ -816,13 +826,14 @@ def test_an_uncut_window_is_the_floorless_window():
 
 def test_floored_run_on_the_benchmark_module(monkeypatch):
     # deep-rank3: its e0 lies at the exponent bound of its entry at every
-    # step, where m*s_max runs ahead of it by m/2, so the floors that
-    # extend(128) plans are never missed; the one re-run is the re-plan of
-    # the floors that extend(0) planned for step 2
+    # step, where m*s_max runs ahead of it by m/2, so its inward distance is
+    # always 0 and the reach 2 strides, planned alike for every target: the
+    # floors are never missed and nothing re-runs
     restarts = count_restarts(monkeypatch)
     m = deep_rank3_module()
+    gn_sequence(m, 0)
     state = gn_sequence(m, 128)
-    assert len(restarts) == 1 and state._reach is not None and window_cut(state)
+    assert not restarts and state._reach is not None and window_cut(state)
     assert set(state._inward.values()) == {0}
     assert_matches_the_floorless_run(state, m, (F(1, 2), F(3, 4), 1))
 
@@ -830,9 +841,10 @@ def test_floored_run_on_the_benchmark_module(monkeypatch):
 @pytest.mark.parametrize(
     "rows, interval, per_entry",
     [
-        # the drift of the top entry grows, so each entry keeps a floor of
-        # its own; reading on below the highest one finds a wrong hull
-        ([["1/(1+2*x)", "0"], ["x", "1"]], Interval(F(1, 8), F(1, 4)), True),
+        # entry (1, 0) drifts in from its exponent bound by 1 a step, so each
+        # entry keeps a floor of its own, and they cut it; reading on below
+        # the highest one finds a wrong hull
+        ([["1/(1+2*x)", "0"], ["x^3", "x"]], Interval(F(1, 4), F(1, 2)), True),
         # entry (1, 1) feeds itself at the outermost shift, so the state runs
         # under one floor for all entries
         ([["3", "x"], ["0", "2*x"]], Interval(F(1, 8), F(3, 8)), False),
@@ -884,12 +896,54 @@ def test_positive_content_runs_with_no_floor(monkeypatch):
 def test_coefficient_counts_of_the_floored_runs():
     # every nonzero coefficient kept; the floorless runs count 20,742 and
     # 65,539.  The floor is planned before the first step it cuts, so that
-    # step counts only its columns past the floor (7 fewer here than when it
-    # counted the uncut step first).  The x^1000 module keeps one column a
-    # step, its e0 being the top, from S_1 on (one fewer)
-    assert gn_sequence(wide_module(), 72)._coeff_count == 1491
+    # step counts only its columns past the floor.  The wide module's e0 is
+    # the top column at every step, so its floor keeps 2 strides below it
+    # (1,491 under a margin that grew with the target depth).  The x^1000
+    # module keeps one column a step, its e0 being the top, from S_1 on
+    assert gn_sequence(wide_module(), 72)._coeff_count == 219
     gap = DiffModule(P2, RFMatrix.from_strings([["x^1000", "1"], ["0", "0"]]), Interval(F(1, 2), 2))
     assert gn_sequence(gap, 256)._coeff_count == 258
+
+
+def planned_run(monkeypatch, m, depth):
+    """The state grown as the CLI grows it, to 0 and then to ``depth``, and
+    the re-runs of the second call."""
+    gn_sequence(m, 0)
+    restarts = count_restarts(monkeypatch)
+    return gn_sequence(m, depth), restarts
+
+
+def test_a_jittering_distance_is_not_extrapolated(monkeypatch):
+    # the inward distance of e0 is 0 but for a jump to 1 every sixth step,
+    # with no drift; the margin covers the jump (8,949 coefficients and one
+    # re-run under a margin that grew with the target depth; with no margin
+    # one miss read the newest jumps as a trend and planned 85 columns,
+    # about 20,000 coefficients)
+    m = DiffModule(Prime(3), RFMatrix.from_strings([["0", "1"], ["1/(x^2-3)", "1/x"]]),
+                   Interval(0, 1))
+    state, restarts = planned_run(monkeypatch, m, 256)
+    assert not restarts and state._coeff_count <= 1_100
+    assert_matches_the_floorless_run(state, m, (0, F(1, 2), 1))
+
+
+def test_a_drifting_distance_is_extrapolated(monkeypatch):
+    # deep-rank3's matrix on (-1, -1/2): the inward distance of e0 from the
+    # ceiling grows by 1/2 a step; its early misses see too few steps to read
+    # that drift from the newer half alone, and the mean slope since S_0
+    # keeps the run floored (28,403 under a margin that grew with the target
+    # depth; without the mean slope three re-runs ended with no floor, 74,448)
+    m = DiffModule(Prime(3), deep_rank3_module().matrix, Interval(-1, F(-1, 2)))
+    state, _ = planned_run(monkeypatch, m, 128)
+    assert state._reach is not None and state._coeff_count <= 28_403
+    assert_matches_the_floorless_run(state, m, (-1, F(-3, 4), F(-1, 2)))
+
+
+def test_the_margin_does_not_grow_with_the_depth(monkeypatch):
+    # deep-rank3's inward distance is 0 at every step, so the reach is 2
+    # strides for any target (392,285 coefficients to 1024 under a margin of
+    # 2 + 1024/8 strides)
+    state, restarts = planned_run(monkeypatch, deep_rank3_module(), 1024)
+    assert not restarts and state._reach == 2 and state._coeff_count < 10_000
 
 
 @pytest.mark.parametrize("module", [deep_rank3_module, wide_module], ids=["companion", "rank-2"])
