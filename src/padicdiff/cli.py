@@ -129,13 +129,19 @@ def _tolerance(value) -> float:
 # the most grid points a run may ask for: ``Interval.interior_grid`` builds
 # them all at once, and each is one radius estimate
 MAX_GRID = 10_000
+# the deepest recursion a run may ask for: the per-step hulls and the
+# n - s_p(n) table grow with the depth outside the coefficient budget
+MAX_DEPTH = 100_000
 
 
-def _grid(value) -> int:
-    value = int(value)
-    if value > MAX_GRID:
-        raise ValueError(f"must be at most {MAX_GRID}")
-    return value
+def _at_most(limit: int):
+    def cast(value) -> int:
+        value = int(value)
+        if value > limit:
+            raise ValueError(f"must be at most {limit}")
+        return value
+
+    return cast
 
 
 def _one_of(*allowed: str):
@@ -150,8 +156,8 @@ def _one_of(*allowed: str):
 # Every run parameter: [run] key -> (cast, default).  The command-line flag
 # whose dest is the key overrides the file, and goes through the same cast.
 RUN_KEYS = {
-    "depth": (int, 256),
-    "grid": (_grid, 17),
+    "depth": (_at_most(MAX_DEPTH), 256),
+    "grid": (_at_most(MAX_GRID), 17),
     "max_denominator": (_positive_int, 32),
     "mode": (_one_of(EXACT, FLOAT), EXACT),
     "method": (_one_of(TAIL_MIN, TAIL_SLOPE), TAIL_MIN),

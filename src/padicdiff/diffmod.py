@@ -234,7 +234,7 @@ class DiffModule:
     @cached_property
     def _state(self) -> "RecursionState":
         """The module's one recursion state, which ``gn_sequence`` grows."""
-        return RecursionState(self, 0)
+        return RecursionState(self)
 
     @property
     def rank(self) -> int:
@@ -308,7 +308,9 @@ class RecursionState:
     the same recursion r -> r' + r*G, and row i of G_n is row 0 of G_(n+i).
     For it the state computes row 0 alone, lag = mu steps ahead of ``depth``;
     any other module computes all mu rows, lag = 1.  The loop is the same:
-    each step m -> m + 1 extends the newest mu/lag rows of S_m.
+    each step m -> m + 1 extends the newest mu/lag rows of S_m.  The
+    constructor builds S_0 alone, and ``extend`` alone runs the steps: a
+    companion state reaches depth 0 after mu - 1 of them.
 
     The state keeps only the newest window, n = ``depth``: the mu rows of
     S_n, or row 0 of S_n, ..., S_(n+mu-1).  For every step m it keeps the
@@ -384,7 +386,7 @@ class RecursionState:
     of that method.
     """
 
-    def __init__(self, module: DiffModule, depth: int, budget: int = DEFAULT_COEFF_BUDGET):
+    def __init__(self, module: DiffModule):
         self.p = module.p
         self.rank = module.rank
         self.interval = module.interval
@@ -470,13 +472,12 @@ class RecursionState:
         # the docstring)
         self._side = side = 1 if self.interval.lo >= 0 else -1 if self.interval.hi <= 0 else 0
         self._out = max(shifts) if side > 0 else least
-        # no floor when straddling 0, or when S_1 = d*Q*G already has positive content
-        first = (v for row in self._pt[:per_step] for terms in row for _, v in terms)
-        self._reach: Optional[int] = 0 if side and any(v % self.p.p for v in first) else None
-        # the slack of each entry of the newest step if kept, and the least
-        self._slack: Optional[list[list[int]]] = None
+        # no floor when straddling 0; the step loop takes it away once S_m has positive content
+        self._reach: Optional[int] = 0 if side else None
+        # the slack of each entry of S_0 and of the newest step if kept, and the least
+        self._start_slack = self._slack = None
         self._least = 0
-        if self._reach is not None:
+        if side:
             # the sources of entry j, the terms of d*Q*G[t][j] and those of Q
             # on entry j itself, as (t, side*(out - s)) for the outermost shift s
             o = -1 if side > 0 else 0
@@ -498,7 +499,6 @@ class RecursionState:
         # whether a floor has dropped a nonzero coefficient since S_0: until
         # then the window is the floorless one
         self._dropped = False
-        self.extend(depth, budget)
 
     @property
     def depth(self) -> int:
@@ -570,14 +570,13 @@ class RecursionState:
             bound = self._carried_bound(m, lo, size) if self._bound else [content] * size
             self._bound = (lo, bound)
             return _refined_hull(entries, lo, bound, g, p)
-        self._bound = None
         if not side:
             return _hull_of(entries, lo, size, g, p)
         # from the outer end inwards to the first column of valuation 0, e0;
-        # under floors of their own that have dropped one, only on the columns
-        # past the highest floor (the lowest ceiling), where no entry is cut
+        # once a floor has dropped one, only on the columns past the highest
+        # floor (the lowest ceiling), where no entry is cut
         ks = range(size)
-        if self._dropped and self._slack is not None:
+        if self._dropped:
             # the k that ``_next_entry`` keeps under that floor
             top = (m + 1) * self._out - side * (self._reach + self._least)
             if side > 0:
@@ -616,8 +615,7 @@ class RecursionState:
         del self._hulls[1:], self._n_minus_sp[1:]
         self._bound = None
         self._dropped = False
-        if self._reach is not None:
-            self._slack, self._least = self._start_slack, 0
+        self._slack, self._least = self._start_slack, 0
 
     def _next_slack(self) -> list[list[int]]:
         """The slack of the next step: for each entry, the least over its

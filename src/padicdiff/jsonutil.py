@@ -47,7 +47,7 @@ def estimate_json(est) -> dict:
         "method": est.method,
         "depth": est.depth,
         "tail_min": frac_str(est.tail_min),
-        "tail_slope": fmt_float(est.tail_slope) if est.tail_slope is not None else None,
+        "tail_slope": fmt_float(est.tail_slope),
         "discrepancy": fmt_float(est.discrepancy),
         "capped": est.capped,
         "mode": est.mode,
@@ -92,7 +92,7 @@ def frobenius_json(report) -> dict:
                 "log_r_pullback": frac_str(pt.log_r_pullback),
                 "log_r_base": frac_str(pt.log_r_base),
                 "hypothesis_ok": pt.hypothesis_ok,
-                "residual": fmt_float(pt.residual) if pt.residual is not None else None,
+                "residual": fmt_float(pt.residual),
             }
             for pt in report.points
         ],
@@ -115,8 +115,8 @@ def bounded_json(report) -> dict:
         "b": [
             {
                 "n": n,
-                "value": None if v is None else fmt_float(v),
-                "exact": None if v is None else frac_str(v),
+                "value": fmt_float(v),
+                "exact": frac_str(v),
             }
             for n, v in enumerate(report.values)
         ],

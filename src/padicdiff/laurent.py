@@ -471,8 +471,6 @@ def gauss_norm(
     """
     if isinstance(f, LaurentPoly):
         return f.gauss_norm(rho, p)
-    if f.den.is_zero:
-        raise InputError("zero denominator")
     num_norm = f.num.gauss_norm(rho, p)
     return None if num_norm is None else num_norm - f.den.gauss_norm(rho, p)
 

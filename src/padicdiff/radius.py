@@ -55,8 +55,6 @@ def least_squares_line(points: Sequence[tuple[float, float]]) -> tuple[float, fl
     m = len(points)
     if m == 0:
         return 0.0, 0.0, 0.0
-    if m == 1:
-        return 0.0, points[0][1], 0.0
     sx = sum(x for x, _ in points)
     sy = sum(y for _, y in points)
     sxx = sum(x * x for x, _ in points)

@@ -441,6 +441,10 @@ def case(config, argv, error_type, named, id):
           for command in ("radius", "polygon", "theorem", "frobenius")),
         case(MODULE + "[run]\ngrid = 100000000000\n", ["theorem", "--depth", "16"], "InputError",
              "at most 10000", "run-grid-past-cap"),
+        case(None, ["radius", "--catalog", "exp", "--p", "2", "--interval", "1, 4", "--rho", "1",
+                    "--depth", "100001"], "InputError", "at most 100000", "depth-past-cap"),
+        case(MODULE + "[run]\ndepth = 100001\n", ["radius"], "InputError", "at most 100000",
+             "run-depth-past-cap"),
         case(MODULE.replace("1/2, 2", "0, 2"), ["radius"], "InputError", "positive",
              "interval-radius-0"),
         case(MODULE.replace("0, 1\n", "0, 1/0\n"), ["radius"], "InputError", "division",
@@ -463,6 +467,13 @@ def test_invalid_input_is_one_json_error(
     assert code == 1
     assert captured.out == ""
     assert named in assert_one_json_error(captured.err, error_type)["message"]
+
+
+def test_the_caps_are_inclusive():
+    # a run at the cap itself goes ahead (depth 100,000 takes a few seconds)
+    for key, cap in (("depth", cli.MAX_DEPTH), ("grid", cli.MAX_GRID)):
+        cast = cli.RUN_KEYS[key][0]
+        assert cast(cap) == cast(str(cap)) == cap
 
 
 @pytest.mark.parametrize(

@@ -441,6 +441,11 @@ def test_only_positive_content_carries_a_bound(monkeypatch):
     # rules out all but 127 columns to depth 64
     pulled_exp = catalog_get("pullback-exp", 5, alpha=1).build(Interval(-1, 1))
     assert count_valuations(monkeypatch, pulled_exp, 64) == 127
+    # on an interval across 0 the walk goes in from both ends (``_hull_of``),
+    # each to the outermost column of valuation 0, valuing no column twice
+    assert count_valuations(monkeypatch, sparse_module(), 96) == 2_357
+    straddling = DiffModule(Prime(3), deep_rank3_module().matrix, Interval(-1, 1))
+    assert count_valuations(monkeypatch, straddling, 128) == 4_103
 
 
 def as_fractions(norms):
@@ -721,7 +726,9 @@ def floorless(m, depth):
     is cut: the run with no floor."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RecursionState, "_planned", lambda state, target, miss=None: 2**62)
-        return RecursionState(m, depth)
+        state = RecursionState(m)
+        state.extend(depth)
+        return state
 
 
 def window_cut(state):
@@ -885,11 +892,20 @@ def test_an_empty_window_is_not_a_cut_one(monkeypatch, p, rows, interval, zero_f
 
 
 def test_positive_content_runs_with_no_floor(monkeypatch):
-    # every coefficient of the pullback's S_1 = d*Q*G is divisible by 7
+    # every coefficient of the pullback's S_1 = d*Q*G is divisible by 7, and
+    # the first floor cuts none of them
     restarts = count_restarts(monkeypatch)
     m = frobenius_pullback(sparse_module(Interval(F(1, 8), F(1, 2))), 1)
     state = gn_sequence(m, 48)
     assert not restarts and state._reach is None and state._bound is not None
+    assert_matches_the_floorless_run(state, m, (m.interval.lo, m.interval.hi))
+    # here S_1 = 2x + 2x^3 + 2x^5 spans more than the 2 strides that the first
+    # ceiling keeps: it cuts a coefficient and the walk finds no column of
+    # valuation 0, a miss, so step 1 runs once more (5,251 coefficients to
+    # depth 64, 5,249 with no floor at all)
+    m = frobenius_pullback(scalar_module("1+x+x^2", interval=Interval(F(-1, 2), F(-1, 4))), 1)
+    state = gn_sequence(m, 64)
+    assert len(restarts) <= 1 and state._reach is None and state._bound is not None
     assert_matches_the_floorless_run(state, m, (m.interval.lo, m.interval.hi))
 
 
