@@ -67,6 +67,8 @@ DEFAULT_COEFF_BUDGET = 5_000_000
 # the valuation bound of a zero column (or of a zero multiplier): above any
 # valuation a coefficient can have
 _NEVER = 1 << 62
+# the coefficient dict of the polynomial 1
+_ONE = {0: 1}
 
 
 class RFMatrix:
@@ -301,7 +303,10 @@ class RecursionState:
     S_{n+1} is one zeroed list, added into by one slice axpy per term of the
     short factors d*Q*G[t][j] and Q; the Q term folds S' and Q' into one
     multiplier per coefficient, d*v*(e - n*f) for the term v*x^f of Q and the
-    exponent e of the coefficient.
+    exponent e of the coefficient.  A step computes its rows in one pass
+    (``_rows``), which reads for each entry j the source list that the
+    constructor plans once: the nonzero d*Q*G[t][j], each with its least and
+    largest shift, which size the list; the same pass cuts and trims it.
 
     A companion matrix (rows 0..mu-2 are e_1, ..., e_(mu-1)) is the system
     of X = (u, u', ..., u^(mu-1)), so X_i = X_0^(i): every row of G_n follows
@@ -398,7 +403,7 @@ class RecursionState:
         for row in reduced:
             for e in row:
                 den = e.den.coeffs
-                if den == {0: Fraction(1)}:
+                if den == _ONE:
                     continue
                 g = _poly_gcd(q_dict, den)
                 extra, _ = _poly_divmod(den, g)
@@ -412,7 +417,11 @@ class RecursionState:
         for row in reduced:
             new_row = []
             for e in row:
-                quo, rem = _poly_divmod(q_dict, e.den.coeffs)
+                den = e.den.coeffs
+                if den == _ONE:
+                    new_row.append(e.num * self.Q)
+                    continue
+                quo, rem = _poly_divmod(q_dict, den)
                 if rem:
                     raise InputError("common denominator does not divide an entry denominator")
                 new_row.append(e.num * LaurentPoly(quo))
@@ -423,9 +432,15 @@ class RecursionState:
         self.d = d
         # the terms of the short factors, in increasing shift order: (shift,
         # coefficient) of d*Q*G[t][j], and (f - 1, d*v, d*f*v) of v*x^f in Q
-        self._pt = tuple(tuple(_int_terms(pe * d) for pe in row) for row in p_entries)
+        pt = [[_int_terms(pe * d) for pe in row] for row in p_entries]
         self._qterms = tuple((f - 1, d * v, d * f * v) for f, v in _int_terms(self.Q))
-        shifts = [s for row in self._pt for terms in row for s, _ in terms]
+        # what entry j of a row of S_(m+1) reads, planned once for ``_rows``:
+        # (t, terms, least shift, largest shift) of each nonzero d*Q*G[t][j]
+        self._parts = tuple(
+            tuple((t, row[j], row[j][0][0], row[j][-1][0]) for t, row in enumerate(pt) if row[j])
+            for j in range(mu)
+        )
+        shifts = [s for row in pt for terms in row for s, _ in terms]
         shifts += [s for s, _, _ in self._qterms]
         self._g = math.gcd(*(s - shifts[0] for s in shifts)) or 1
         # for the carried valuation bound (``_carried_bound``), each term's
@@ -434,7 +449,7 @@ class RecursionState:
         self._least_shift = least = min(shifts)
         self._spread = (max(shifts) - least) // self._g
         weights: dict[int, int] = {}
-        for row in self._pt:
+        for row in pt:
             for terms in row:
                 for s, v in terms:
                     o, w = (s - least) // self._g, padic_valuation(v, self.p)
@@ -442,9 +457,10 @@ class RecursionState:
         self._gw = tuple(weights.items())
         self._qw = tuple(((s - least) // self._g, dv, dfv) for s, dv, dfv in self._qterms)
 
-        # a companion matrix (rows 0..mu-2 are e_1, ..., e_(mu-1)) needs row 0 alone
+        # a companion matrix (rows 0..mu-2 are e_1, ..., e_(mu-1)) needs row 0
+        # alone; in lowest terms 1 is {0: 1} over {0: 1}, and 0 is {} over it
         companion = all(
-            e == (1 if j == i + 1 else 0)
+            e.den.coeffs == _ONE and e.num.coeffs == (_ONE if j == i + 1 else {})
             for i, row in enumerate(reduced[:-1])
             for j, e in enumerate(row)
         )
@@ -480,11 +496,11 @@ class RecursionState:
         if side:
             # the sources of entry j, the terms of d*Q*G[t][j] and those of Q
             # on entry j itself, as (t, side*(out - s)) for the outermost shift s
-            o = -1 if side > 0 else 0
+            out, o = self._out, -1 if side > 0 else 0
             self._sources = [
-                [(t, side * (self._out - row[j][o][0])) for t, row in enumerate(self._pt) if row[j]]
-                + [(j, side * (self._out - self._qterms[o][0]))]
-                for j in range(mu)
+                [(t, side * (out - (s_hi if side > 0 else s_lo))) for t, _, s_lo, s_hi in parts]
+                + [(j, side * (out - self._qterms[o][0]))]
+                for j, parts in enumerate(self._parts)
             ]
             # the slack of S_0 = I: 0 on its diagonal, _NEVER for a zero entry;
             # none is kept if a diagonal entry feeds itself at the outermost
@@ -564,8 +580,8 @@ class RecursionState:
         S_m; None on a miss, a one-sided walk that finds no column of
         valuation 0 once a floor has dropped a nonzero coefficient."""
         g, p, side = self._g, self.p, self._side
-        lo = min((c.lo for c in entries), default=0)
-        size = (max(c.lo + g * (len(c) - 1) for c in entries) - lo) // g + 1 if entries else 0
+        lo = min([c.lo for c in entries], default=0)
+        size = (max([c.lo + g * len(c) for c in entries]) - lo) // g if entries else 0
         if content and entries:
             bound = self._carried_bound(m, lo, size) if self._bound else [content] * size
             self._bound = (lo, bound)
@@ -577,36 +593,102 @@ class RecursionState:
         # floor (the lowest ceiling), where no entry is cut
         ks = range(size)
         if self._dropped:
-            # the k that ``_next_entry`` keeps under that floor
+            # the k that ``_rows`` keeps under that floor
             top = (m + 1) * self._out - side * (self._reach + self._least)
             if side > 0:
                 ks = range(max(0, -((lo - top) // g)), size)
             else:
                 ks = range(min(size, (top - lo) // g + 1))
-        found = list(_walk(_column_reader(entries, lo, g), lo, g, ks[::-side], p))
+        spans = [(c, (c.lo - lo) // g, (c.lo - lo) // g + len(c)) for c in entries]
+        found = []
+        for k in ks[::-side]:
+            col = [c[k - a] for c, a, b in spans if a <= k < b]
+            if any(col):
+                v = min_valuation(col, p)
+                found.append((lo + g * k, -v))
+                if not v:
+                    break
         if found and found[-1][1] == 0:
             self._inward[m + 1] = side * ((m + 1) * self._out - found[-1][0]) - self._least
         elif self._dropped:
             # a miss: e0 can lie past the floor
             return None
-        return upper_hull(sorted(found))
+        # in increasing exponent order: the walk went leftwards for side 1
+        return upper_hull(found[::-1] if side > 0 else found)
 
     def _rows(
         self, window, m: int, cap: Optional[int], slack=None
     ) -> tuple[tuple[_Coeffs, ...], ...]:
         """The rows of S_(m+1) that a step computes, all or row 0, from the
-        newest rows of the window of S_m; cut at ``cap`` if one is given,
-        moved in by slack[i][j] for entry (i, j) if a slack is given."""
-        rows = window[-(self.rank // self._lag) :]
-        if slack is None:
-            return tuple(
-                tuple(self._next_entry(Si, j, m, cap) for j in range(self.rank)) for Si in rows
-            )
-        side = self._side
-        return tuple(
-            tuple(self._next_entry(Si, j, m, cap - side * e) for j, e in enumerate(row_slack))
-            for Si, row_slack in zip(rows, slack)
-        )
+        newest rows of the window of S_m, in one pass over their entries.
+        Entry (i, j) is sum_t S[i][t]*(d*Q*G[t][j]) + d*(Q*S[i][j]' - m*S[i][j]*Q'),
+        computed whole, then cut at ``cap`` if one is given, moved in by
+        slack[i][j] if a slack is given: its exponents below the cap (side 1)
+        or above it (side -1) are dropped, and so are its zero ends."""
+        g, side, qterms = self._g, self._side, self._qterms
+        q_lo, q_hi = qterms[0][0], qterms[-1][0]
+        dropped = self._dropped
+        rows = []
+        for i, Si in enumerate(window[-(self.rank // self._lag) :]):
+            row = []
+            for j, parts in enumerate(self._parts):
+                # the least and largest exponent that a term reaches
+                bq = Si[j]
+                if bq:
+                    lo, hi = bq.lo + q_lo, bq.lo + g * (len(bq) - 1) + q_hi
+                else:
+                    lo, hi = _NEVER, -_NEVER
+                for t, _, s_lo, s_hi in parts:
+                    b = Si[t]
+                    if b:
+                        if b.lo + s_lo < lo:
+                            lo = b.lo + s_lo
+                        if b.lo + g * (len(b) - 1) + s_hi > hi:
+                            hi = b.lo + g * (len(b) - 1) + s_hi
+                if lo > hi:
+                    row.append(_Coeffs())
+                    continue
+                acc = [0] * ((hi - lo) // g + 1)
+                for t, terms, _, _ in parts:
+                    b = Si[t]
+                    if b:
+                        size = len(b)
+                        for s, v in terms:
+                            k = (b.lo + s - lo) // g
+                            at = slice(k, k + size)
+                            # a product by 1 still copies the big integer; skip it
+                            if v == 1:
+                                acc[at] = [x + y for x, y in zip(acc[at], b)]
+                            else:
+                                acc[at] = [x + v * y for x, y in zip(acc[at], b)]
+                if bq:
+                    size = len(bq)
+                    for s, dv, dfv in qterms:
+                        k = (bq.lo + s - lo) // g
+                        at = slice(k, k + size)
+                        # the multiplier d*v*(e - m*f) at each exponent e of bq, a ramp
+                        r0, dr = dv * bq.lo - m * dfv, dv * g
+                        ramp = range(r0, r0 + dr * size, dr)
+                        acc[at] = [x + r * y for x, r, y in zip(acc[at], ramp, bq)]
+                # keep acc[k0:k1]: the exponents lo + g*k >= the cap (side 1)
+                # or <= it (side -1), without the zero ends
+                k0, k1 = 0, len(acc)
+                if cap is not None:
+                    c = cap if slack is None else cap - side * slack[i][j]
+                    if side > 0:
+                        k0 = min(max(0, -((lo - c) // g)), k1)
+                        dropped = dropped or any(acc[:k0])
+                    else:
+                        k1 = max(0, min((c - lo) // g + 1, k1))
+                        dropped = dropped or any(acc[k1:])
+                while k0 < k1 and not acc[k0]:
+                    k0 += 1
+                while k0 < k1 and not acc[k1 - 1]:
+                    k1 -= 1
+                row.append(_Coeffs(acc[k0:k1], lo + g * k0) if k0 < k1 else _Coeffs())
+            rows.append(tuple(row))
+        self._dropped = dropped
+        return tuple(rows)
 
     def _restart(self) -> None:
         """Back to S_0, for a re-run under another floor; of the steps run,
@@ -661,47 +743,6 @@ class RecursionState:
             out[o : o + n] = [x if x <= y + w else y + w for x, y in zip(out[o : o + n], bound)]
         a = (lo - blo - self._least_shift) // g
         return out[a : a + size]
-
-    def _next_entry(self, Si: Sequence[_Coeffs], j: int, n: int, cap: Optional[int]) -> _Coeffs:
-        """Entry (i, j) of S_{n+1} from row i of S_n:
-        sum_t S[i][t]*pt[t][j] + d*Q*S[i][j]' - n*d*Q'*S[i][j], without the
-        exponents below ``cap`` (side 1) or above it (side -1) if one is given."""
-        g, pt, qterms = self._g, self._pt, self._qterms
-        parts = [(b, pt[t][j]) for t, b in enumerate(Si) if b and pt[t][j]]
-        bq = Si[j]
-        ends = parts + [(bq, qterms)] if bq else parts
-        if not ends:
-            return _Coeffs()
-        lo = min(b.lo + terms[0][0] for b, terms in ends)
-        hi = max(b.lo + g * (len(b) - 1) + terms[-1][0] for b, terms in ends)
-        acc = [0] * ((hi - lo) // g + 1)
-        for b, terms in parts:
-            size = len(b)
-            for s, v in terms:
-                o = (b.lo + s - lo) // g
-                # a product by 1 still copies the big integer; skip it
-                if v == 1:
-                    acc[o : o + size] = [x + y for x, y in zip(acc[o : o + size], b)]
-                else:
-                    acc[o : o + size] = [x + v * y for x, y in zip(acc[o : o + size], b)]
-        if bq:
-            size = len(bq)
-            for s, dv, dfv in qterms:
-                o = (bq.lo + s - lo) // g
-                # the multiplier d*v*(e - n*f) at the exponent e = bq.lo + g*k
-                m0, dm = dv * bq.lo - n * dfv, dv * g
-                ramp = range(m0, m0 + dm * size, dm)
-                acc[o : o + size] = [x + m * y for x, m, y in zip(acc[o : o + size], ramp, bq)]
-        if cap is not None:  # keep the exponents lo + g*k >= cap (side 1), <= cap (side -1)
-            if self._side > 0:
-                k = max(0, -((lo - cap) // g))
-                kept, cut, lo = slice(k, None), slice(k), lo + g * k
-            else:
-                k = max(0, (cap - lo) // g + 1)
-                kept, cut = slice(k), slice(k, None)
-            self._dropped = self._dropped or any(acc[cut])
-            acc = acc[kept]
-        return _trimmed(acc, lo, g)
 
     # -- exact view of the current step ----------------------------------------
 
@@ -769,18 +810,6 @@ class RecursionState:
             ]
         nums = [None if v is None else v + t * fact for v, t in zip(best, self._n_minus_sp)]
         return nums, den
-
-
-def _trimmed(acc: list[int], lo: int, g: int) -> _Coeffs:
-    """acc, the coefficients of x^(lo + g*k), without its zero ends."""
-    if not any(acc):
-        return _Coeffs()
-    a, b = 0, len(acc)
-    while not acc[a]:
-        a += 1
-    while not acc[b - 1]:
-        b -= 1
-    return _Coeffs(acc[a:b], lo + g * a)
 
 
 def _column_reader(entries: Sequence[_Coeffs], lo: int, g: int):

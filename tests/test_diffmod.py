@@ -612,6 +612,23 @@ def test_near_companion_modules_compute_every_row(rows, p, pulled):
     assert_matches_the_slow_path(m, F(1, 3))
 
 
+@pytest.mark.parametrize(
+    "rows, p",
+    [
+        ([["0", "x/x", "0"], ["0", "0", "2/2"], ["1/(1+x)", "x", "2/x"]], 3),
+        ([["x - x", "(1+x)/(1+x)"], ["1/(1+x)", "3"]], 2),
+        ([["0/x", "2*x/(2*x)"], ["x", "1/x"]], 5),
+    ],
+    ids=["x/x-and-2/2", "x-x-and-(1+x)/(1+x)", "0/x-and-2x/2x"],
+)
+def test_unreduced_companion_modules_compute_row_zero(rows, p):
+    # the check reads the entries in lowest terms, where 1 is {0: 1} over
+    # {0: 1} and 0 is {} over {0: 1}, however the text wrote them
+    m = DiffModule(Prime(p), RFMatrix.from_strings(rows), I01)
+    assert gn_sequence(m, 0)._lag == m.rank
+    assert_matches_the_slow_path(m, F(1, 3))
+
+
 @pytest.fixture(scope="module")
 def wide_state():
     """Rank-2 module with a non-monomial denominator, its state to depth 24,
@@ -829,6 +846,96 @@ def test_an_uncut_window_is_the_floorless_window():
 
     check()
     assert any(calls) and not all(calls)
+
+
+def short_factors(m, state):
+    """d*Q*G[t][j] for every t, j, from the module's matrix: {exponent: int}."""
+    dq = RationalFunction(state.Q * state.d)
+    factors = []
+    for row in m.matrix.rows:
+        factors.append([])
+        for entry in row:
+            pe = (dq * entry).reduce()
+            assert pe.den == LaurentPoly.one()
+            factors[-1].append({e: int(v) for e, v in pe.num.coeffs.items()})
+    return factors
+
+
+def entry_the_slow_way(state, factors, Si, j, n, cap):
+    """Entry (i, j) of S_(n+1) from row i of S_n, one coefficient at a time:
+    sum_t S[i][t]*(d*Q*G[t][j]) + d*(Q*S[i][j]' - n*S[i][j]*Q') as a dict by
+    exponent, without the exponents below ``cap`` (side 1) or above it
+    (side -1) if one is given.  Returns (lo, coefficients from lo on the
+    stride, first and last nonzero) and whether the cut dropped a nonzero
+    coefficient; (0, []) for a zero entry."""
+    g, d = state._g, state.d
+    coeffs = {}
+    for t, row in enumerate(factors):
+        for s, v in row[j].items():
+            for k, y in enumerate(Si[t]):
+                e = Si[t].lo + g * k + s
+                coeffs[e] = coeffs.get(e, 0) + v * y
+    # each term v*x^f of Q takes the coefficient y of x^e to x^(e + f - 1),
+    # times d*v*e from Q*S' and -n*d*v*f from n*S*Q'
+    for f, v in state.Q.coeffs.items():
+        for k, y in enumerate(Si[j]):
+            e = Si[j].lo + g * k
+            coeffs[e + f - 1] = coeffs.get(e + f - 1, 0) + int(d * v) * (e - n * f) * y
+    dropped = False
+    if cap is not None:
+        kept = {e: v for e, v in coeffs.items() if (e >= cap if state._side > 0 else e <= cap)}
+        dropped = any(v for e, v in coeffs.items() if e not in kept)
+        coeffs = kept
+    nonzero = [e for e, v in coeffs.items() if v]
+    if not nonzero:
+        return (0, []), dropped
+    lo, hi = min(nonzero), max(nonzero)
+    return (lo, [coeffs.get(e, 0) for e in range(lo, hi + 1, g)]), dropped
+
+
+def test_the_row_pass_matches_the_entry_by_entry_step():
+    """``_rows`` on the windows that runs reach, floored ones included, with
+    and without a cap and a slack on one-sided intervals, with neither when
+    straddling: every entry's lo and values, and ``_dropped``."""
+    seen = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.one_of(small_modules().map(lambda case: case[0]), companion_modules()),
+        interval=side_intervals(),
+        depth=st.integers(0, 20),
+        data=st.data(),
+    )
+    def check(base, interval, depth, data):
+        module = DiffModule(base.p, base.matrix, interval)
+        state = gn_sequence(module, depth)
+        factors = short_factors(module, state)
+        window, m = state._S[-1], len(state._hulls) - 1
+        rows = window[-(state.rank // state._lag):]
+        cap = slack = None
+        if state._side and data.draw(st.booleans(), "cap"):
+            uncut = [entry_the_slow_way(state, factors, Si, j, m, None)[0]
+                     for Si in rows for j in range(state.rank)]
+            ends = [e for lo, c in uncut if c for e in (lo, lo + state._g * (len(c) - 1))]
+            cap = data.draw(st.integers(min(ends, default=0) - 3, max(ends, default=0) + 3), "at")
+            if data.draw(st.booleans(), "slack"):
+                entry_slack = st.one_of(st.integers(0, 4), st.just(diffmod._NEVER))
+                slack = [[data.draw(entry_slack) for _ in range(state.rank)] for _ in rows]
+        before = state._dropped = data.draw(st.booleans(), "dropped before")
+        got = state._rows(window, m, cap, slack)
+        dropped = before
+        for i, Si in enumerate(rows):
+            for j in range(state.rank):
+                c = cap if slack is None else cap - state._side * slack[i][j]
+                want, drop = entry_the_slow_way(state, factors, Si, j, m, c)
+                assert (got[i][j].lo, list(got[i][j])) == want, (i, j)
+                dropped = dropped or drop
+        assert state._dropped == dropped
+        seen.append((cap is not None, slack is not None, dropped and not before))
+
+    check()
+    # some passes were cut, some under a slack, and some cuts dropped a coefficient
+    assert all(any(flags) for flags in zip(*seen)), seen
 
 
 def test_floored_run_on_the_benchmark_module(monkeypatch):
