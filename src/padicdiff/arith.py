@@ -30,6 +30,7 @@ __all__ = [
     "log_abs",
     "digit_sum",
     "upper_hull",
+    "lower_envelope",
 ]
 
 Rational = Union[int, Fraction]
@@ -207,6 +208,31 @@ def upper_hull(points: Iterable[tuple[Rational, Rational]]) -> list[tuple[Ration
                 break
         hull.append(pt)
     return hull
+
+
+def lower_envelope(lines: Sequence[tuple], interval: Interval) -> list[tuple]:
+    """Pieces (lo, hi, line) of the pointwise min of the lines on the
+    interval, left to right.
+
+    ``lines`` are (slope, intercept, ...) tuples in strictly decreasing slope
+    order.  The lines on the min over all rho are, by duality, the vertices
+    of the upper hull of the points (slope, -intercept); a line that meets the
+    min at one point only is not a vertex.  Lines whose piece ends at or
+    before ``interval.lo``, or starts at or after ``interval.hi``, are
+    dropped."""
+    on_min = {s for s, _ in upper_hull((line[0], -line[1]) for line in reversed(lines))}
+    kept = [line for line in lines if line[0] in on_min]
+    while len(kept) >= 2 and _cut(kept[0], kept[1]) <= interval.lo:
+        del kept[0]
+    while len(kept) >= 2 and _cut(kept[-2], kept[-1]) >= interval.hi:
+        kept.pop()
+    cuts = [_cut(a, b) for a, b in zip(kept, kept[1:])]
+    return list(zip([interval.lo, *cuts], [*cuts, interval.hi], kept))
+
+
+def _cut(a, b) -> Fraction:
+    """Intersection abscissa of two lines given as (slope, intercept, ...)."""
+    return (a[1] - b[1]) / (b[0] - a[0])
 
 
 @dataclass(frozen=True)

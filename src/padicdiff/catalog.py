@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .arith import Interval, Prime, Rational, as_prime, log_abs
+from .arith import Interval, Prime, Rational, as_prime, log_abs, lower_envelope
 from .diffmod import DiffModule, RFMatrix, companion_of, frobenius_pullback
 from .errors import InputError
 from .laurent import LaurentPoly, RationalFunction, parse_rational_function
@@ -48,15 +48,6 @@ def _scalar(p: Prime, entry: RationalFunction) -> Callable[[Interval], DiffModul
     return lambda interval: DiffModule(p, RFMatrix([[entry]]), interval)
 
 
-def _clip_two_piece(interval: Interval, level: Fraction) -> Segments:
-    """Segments of min(rho, level) over the interval."""
-    if interval.hi <= level:
-        return [(Fraction(1), Fraction(0))]
-    if interval.lo >= level:
-        return [(Fraction(0), level)]
-    return [(Fraction(1), Fraction(0)), (Fraction(0), level)]
-
-
 # One maker per family: its keyword parameters are those the family takes.
 # It validates them eagerly and returns the parameters as stored, the module
 # builder and the expected segments (None: no closed form).
@@ -73,9 +64,12 @@ def _exp(p: Prime, alpha: Rational = 1):
     alpha = Fraction(alpha)
     if alpha == 0:
         raise InputError("exp needs alpha != 0")
-    level = p.log_pi - log_abs(alpha, p)
+    # the segments of min(rho, level) on the interval
+    lines = [(Fraction(1), Fraction(0)), (Fraction(0), p.log_pi - log_abs(alpha, p))]
     build = _scalar(p, RationalFunction.constant(alpha))
-    return {"alpha": alpha}, build, lambda interval: _clip_two_piece(interval, level)
+    return {"alpha": alpha}, build, lambda interval: [
+        line for _, _, line in lower_envelope(lines, interval)
+    ]
 
 
 def _euler(p: Prime, a: Optional[Rational] = None):

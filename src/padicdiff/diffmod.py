@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 from .arith import (
@@ -328,13 +327,14 @@ class RecursionState:
     ``arith.min_valuation`` gcd.  While S_m has a column of valuation 0, the
     walk reads columns from the right end to the last such column e0 when
     the closed interval reaches rho > 0, and from the left end to the first
-    one when it reaches rho < 0 (``_hull_of`` when it reaches both): for
-    rho >= 0 a column e < e0 has -v + e*rho <= e0*rho, and mirrored for
-    rho <= 0, so the hull is exact on the interval, the only rho that
-    ``log_norms`` accepts.  The content c of S_m, its least valuation, is
-    -max y over its hull.  Once c > 0, as on a ramification pullback whose
-    d*Q*G terms all carry p^h, that stop never fires, and no column of
-    S_(m+1), an integer combination of S_m, falls below c.  The state then
+    one when it reaches rho < 0 (both, each column once, when it reaches
+    both; ``_walk`` reads every one of these walks): for rho >= 0 a column
+    e < e0 has -v + e*rho <= e0*rho, and mirrored for rho <= 0, so the
+    hull is exact on the interval, the only rho that ``log_norms`` accepts.
+    The content c of S_m, its least valuation, is -max y over its hull.
+    Once c > 0, as on a ramification pullback whose d*Q*G terms all carry
+    p^h, that stop never fires, and no column of S_(m+1), an integer
+    combination of S_m, falls below c.  The state then
     carries a lower bound on v for each column of the newest step: the first
     such step starts from c for every column, and each later one bounds
     column e of S_(m+1) by the min over the step's terms of bound(e - s)
@@ -582,12 +582,18 @@ class RecursionState:
         g, p, side = self._g, self.p, self._side
         lo = min([c.lo for c in entries], default=0)
         size = (max([c.lo + g * len(c) for c in entries]) - lo) // g if entries else 0
+        # each entry with the range [a, b) of the k it covers
+        spans = [(c, (c.lo - lo) // g, (c.lo - lo) // g + len(c)) for c in entries]
         if content and entries:
             bound = self._carried_bound(m, lo, size) if self._bound else [content] * size
             self._bound = (lo, bound)
-            return _refined_hull(entries, lo, bound, g, p)
+            return _refined_hull(spans, lo, bound, g, p)
         if not side:
-            return _hull_of(entries, lo, size, g, p)
+            # from the left end to the first column of valuation 0, then from
+            # the right end to the last, so no column is valued twice
+            found = _walk(spans, lo, g, range(size), p)
+            stop = (found[-1][0] - lo) // g if found else -1
+            return upper_hull(found + _walk(spans, lo, g, range(size - 1, stop, -1), p)[::-1])
         # from the outer end inwards to the first column of valuation 0, e0;
         # once a floor has dropped one, only on the columns past the highest
         # floor (the lowest ceiling), where no entry is cut
@@ -599,15 +605,7 @@ class RecursionState:
                 ks = range(max(0, -((lo - top) // g)), size)
             else:
                 ks = range(min(size, (top - lo) // g + 1))
-        spans = [(c, (c.lo - lo) // g, (c.lo - lo) // g + len(c)) for c in entries]
-        found = []
-        for k in ks[::-side]:
-            col = [c[k - a] for c, a, b in spans if a <= k < b]
-            if any(col):
-                v = min_valuation(col, p)
-                found.append((lo + g * k, -v))
-                if not v:
-                    break
+        found = _walk(spans, lo, g, ks[::-side], p)
         if found and found[-1][1] == 0:
             self._inward[m + 1] = side * ((m + 1) * self._out - found[-1][0]) - self._least
         elif self._dropped:
@@ -812,47 +810,27 @@ class RecursionState:
         return nums, den
 
 
-def _column_reader(entries: Sequence[_Coeffs], lo: int, g: int):
-    """column(k): the coefficients of x^(lo + g*k) in the entries that reach it."""
-    spans = [(c, (c.lo - lo) // g, (c.lo - lo) // g + len(c)) for c in entries]
-    return lambda k: [c[k - a] for c, a, b in spans if a <= k < b]
-
-
-def _walk(column, lo: int, g: int, ks: Iterable[int], p: Prime):
+def _walk(spans, lo: int, g: int, ks: Iterable[int], p: Prime) -> list[tuple[int, int]]:
     """The points (lo + g*k, -v) of the nonzero columns k in ``ks``, valued in
-    turn up to the first of valuation 0, as high as any point gets."""
+    turn up to the first of valuation 0, as high as any point gets; column k
+    holds the coefficients of x^(lo + g*k) in the entries of ``spans`` that
+    reach it, each given with the range [a, b) of the k it covers."""
+    found = []
     for k in ks:
-        col = column(k)
+        col = [c[k - a] for c, a, b in spans if a <= k < b]
         if any(col):
             v = min_valuation(col, p)
-            yield lo + g * k, -v
+            found.append((lo + g * k, -v))
             if not v:
-                return
+                break
+    return found
 
 
-def _hull_of(
-    entries: Sequence[_Coeffs], lo: int, size: int, g: int, p: Prime
-) -> list[tuple[int, int]]:
-    """Upper hull of (e, -min v_p) over the nonzero columns lo + g*k, k < size,
-    of the entries, for an interval on both sides of 0: the walk from the
-    left end stops at the first column of valuation 0, the one from the
-    right end at the last, and no column is valued twice."""
-    # walking both ways, one transpose of every entry reads faster than
-    # column by column
-    padded = ([0] * ((c.lo - lo) // g) + c for c in entries)
-    column = list(zip_longest(*padded, fillvalue=0)).__getitem__
-    found = list(_walk(column, lo, g, range(size), p))
-    stop = (found[-1][0] - lo) // g if found else -1
-    found += reversed(list(_walk(column, lo, g, range(size - 1, stop, -1), p)))
-    return upper_hull(found)
-
-
-def _refined_hull(
-    entries: Sequence[_Coeffs], lo: int, bound: list[int], g: int, p: Prime
-) -> list[tuple[int, int]]:
-    """Upper hull of (e, -min v_p) over the nonzero columns lo + g*k, given a
-    lower bound on each column's v; the bound is raised in place to the
-    exact v of every column valued, and to ``_NEVER`` for a zero column.
+def _refined_hull(spans, lo: int, bound: list[int], g: int, p: Prime) -> list[tuple[int, int]]:
+    """Upper hull of (e, -min v_p) over the nonzero columns lo + g*k of the
+    entries of ``spans`` (as ``_walk`` reads them), given a lower bound on
+    each column's v; the bound is raised in place to the exact v of every
+    column valued, and to ``_NEVER`` for a zero column.
 
     It values the two end columns and the first and last of least bound,
     which are vertices of the hull of the bound points (e, -bound).  Then,
@@ -861,13 +839,12 @@ def _refined_hull(
     those bound points.  A column whose bound point is on or below H has
     its exact point there too, so H is then the exact hull."""
     n = len(bound)
-    column = _column_reader(entries, lo, g)
     least = min(bound)
     todo = {0, n - 1, bound.index(least), n - 1 - bound[::-1].index(least)}
     valued: set[int] = set()
     while todo:
         for k in todo:
-            col = column(k)
+            col = [c[k - a] for c, a, b in spans if a <= k < b]
             bound[k] = min_valuation(col, p) if any(col) else _NEVER
         valued |= todo
         hull = upper_hull([(k, -bound[k]) for k in sorted(valued) if bound[k] != _NEVER])

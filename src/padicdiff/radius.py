@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arith import MAX_DIGITS, Interval, Rational, upper_hull
+from .arith import MAX_DIGITS, Interval, Rational, lower_envelope, upper_hull
 from .diffmod import DiffModule, frobenius_pullback, gn_sequence
 from .errors import DomainError, HypothesisViolationError, InputError
 
@@ -51,20 +51,28 @@ QUALITY_TOL = 0.05
 
 
 def least_squares_line(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
-    """(slope, intercept, rms residual) of the least-squares line."""
+    """(slope, intercept, rms residual) of the least-squares line.
+
+    The sums run left to right in plain loops: ``sum()`` over floats is
+    compensated from Python 3.12 on, which would change the last digits of
+    a report with the interpreter."""
     m = len(points)
     if m == 0:
         return 0.0, 0.0, 0.0
-    sx = sum(x for x, _ in points)
-    sy = sum(y for _, y in points)
-    sxx = sum(x * x for x, _ in points)
-    sxy = sum(x * y for x, y in points)
+    sx = sy = sxx = sxy = 0
+    for x, y in points:
+        sx += x
+        sy += y
+        sxx += x * x
+        sxy += x * y
     denom = m * sxx - sx * sx
     if denom == 0:
         return 0.0, sy / m, 0.0
     slope = (m * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / m
-    rss = sum((y - slope * x - intercept) ** 2 for x, y in points)
+    rss = 0
+    for x, y in points:
+        rss += (y - slope * x - intercept) ** 2
     return slope, intercept, (rss / m) ** 0.5
 
 
@@ -275,7 +283,7 @@ def polygon_estimate(
     # the polygon is the pointwise min of its lines (their slopes strictly
     # decrease); snapping can push a line off it, so rebuild the partition
     segments = tuple(
-        PolygonSegment(lo, hi, *line) for lo, hi, line in _lower_envelope(lines, interval)
+        PolygonSegment(lo, hi, *line) for lo, hi, line in lower_envelope(lines, interval)
     )
 
     return ConvergencePolygon(
@@ -285,31 +293,6 @@ def polygon_estimate(
         quality=quality,
         quality_warning=quality > QUALITY_TOL,
     )
-
-
-def _lower_envelope(lines: Sequence[tuple], interval: Interval) -> list[tuple]:
-    """Pieces (lo, hi, line) of the pointwise min of the lines on the
-    interval, left to right.
-
-    ``lines`` are (slope, intercept, ...) tuples in strictly decreasing slope
-    order.  The lines on the min over all rho are, by duality, the vertices
-    of the upper hull of the points (slope, -intercept); a line that meets the
-    min at one point only is not a vertex.  Lines whose piece ends at or
-    before ``interval.lo``, or starts at or after ``interval.hi``, are
-    dropped."""
-    on_min = {s for s, _ in upper_hull((line[0], -line[1]) for line in reversed(lines))}
-    kept = [line for line in lines if line[0] in on_min]
-    while len(kept) >= 2 and _cut(kept[0], kept[1]) <= interval.lo:
-        del kept[0]
-    while len(kept) >= 2 and _cut(kept[-2], kept[-1]) >= interval.hi:
-        kept.pop()
-    cuts = [_cut(a, b) for a, b in zip(kept, kept[1:])]
-    return list(zip([interval.lo, *cuts], [*cuts, interval.hi], kept))
-
-
-def _cut(a, b) -> Fraction:
-    """Intersection abscissa of two lines given as (slope, intercept, ...)."""
-    return (a[1] - b[1]) / (b[0] - a[0])
 
 
 @dataclass(frozen=True)

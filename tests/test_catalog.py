@@ -27,6 +27,9 @@ def test_exp_entry_expected_segments():
     assert entry.expected_segments(Interval(0, 2)) == [(0, -1)]
     assert entry.expected_segments(Interval(-3, -2)) == [(1, 0)]
     assert entry.expected_segments(Interval(-2, 2)) == [(1, 0), (0, -1)]
+    # the level -1 at either end of the interval
+    assert entry.expected_segments(Interval(-1, 1)) == [(0, -1)]
+    assert entry.expected_segments(Interval(-3, -1)) == [(1, 0)]
     with pytest.raises(InputError):
         catalog_get("exp", 2, alpha=0)
 

@@ -441,8 +441,8 @@ def test_only_positive_content_carries_a_bound(monkeypatch):
     # rules out all but 127 columns to depth 64
     pulled_exp = catalog_get("pullback-exp", 5, alpha=1).build(Interval(-1, 1))
     assert count_valuations(monkeypatch, pulled_exp, 64) == 127
-    # on an interval across 0 the walk goes in from both ends (``_hull_of``),
-    # each to the outermost column of valuation 0, valuing no column twice
+    # on an interval across 0 ``_walk`` goes in from both ends, each to the
+    # outermost column of valuation 0, valuing no column twice
     assert count_valuations(monkeypatch, sparse_module(), 96) == 2_357
     straddling = DiffModule(Prime(3), deep_rank3_module().matrix, Interval(-1, 1))
     assert count_valuations(monkeypatch, straddling, 128) == 4_103

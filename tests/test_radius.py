@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from padicdiff import radius
-from padicdiff.arith import Interval, Prime
+from padicdiff.arith import Interval, Prime, lower_envelope
 from padicdiff.catalog import catalog_get
 from padicdiff.diffmod import DiffModule, RFMatrix, gauge_transform
 from padicdiff.errors import DomainError, HypothesisViolationError, InputError
@@ -25,7 +26,6 @@ from padicdiff.radius import (
     polygon_estimate,
     radius_estimate,
 )
-from padicdiff.radius import _lower_envelope
 
 P2 = Prime(2)
 
@@ -174,6 +174,32 @@ def test_least_squares_line_degenerate_inputs():
     assert least_squares_line([(1.0, 1.0), (1.0, 3.0)]) == (0.0, 2.0, 0.0)
 
 
+def test_least_squares_line_sums_left_to_right():
+    # 1e16 + 1 rounds back to 1e16, so a left-to-right sum of these y reads
+    # 0 where a compensated one (``sum()`` from Python 3.12 on) reads 1, and
+    # the slope reads 0 against -1/3; a report must not change its digits
+    # with the interpreter
+    points = [(0.0, 1e16), (0.0, 1.0), (0.0, -1e16), (1.0, 0.0)]
+    ys = [y for _, y in points]
+    assert math.fsum(ys) == 1.0 and ((ys[0] + ys[1]) + ys[2]) + ys[3] == 0.0
+
+    def left_to_right(values):
+        total = 0
+        for v in values:
+            total += v
+        return total
+
+    m = len(points)
+    sx = left_to_right(x for x, _ in points)
+    sy = left_to_right(y for _, y in points)
+    sxx = left_to_right(x * x for x, _ in points)
+    sxy = left_to_right(x * y for x, y in points)
+    slope = (m * sxy - sx * sy) / (m * sxx - sx * sx)
+    intercept = (sy - slope * sx) / m
+    rss = left_to_right((y - slope * x - intercept) ** 2 for x, y in points)
+    assert least_squares_line(points) == (slope, intercept, (rss / m) ** 0.5)
+
+
 def test_polygon_samples_concave_on_families():
     for m in (exp_module(Interval(-2, 2)), euler_module(Interval(-2, 2))):
         poly = polygon_estimate(m, grid=17, depth=128)
@@ -221,7 +247,7 @@ def lines_and_interval(draw):
 @given(lines_and_interval())
 def test_lower_envelope_equals_the_brute_force_min(case):
     lines, interval = case
-    pieces = _lower_envelope(lines, interval)
+    pieces = lower_envelope(lines, interval)
     assert pieces[0][0] == interval.lo and pieces[-1][1] == interval.hi
     slopes = [line[0] for _, _, line in pieces]
     assert all(s > t for s, t in zip(slopes, slopes[1:]))
