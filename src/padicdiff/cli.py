@@ -2,18 +2,23 @@
 
 Commands
 --------
-norms     CSV of n, log_p ||G_n/n!|| at a fixed log-radius
-radius    JSON radius estimates at one point or on a grid
-polygon   JSON convergence polygon (+ optional SVG plot)
-bounded   JSON boundedness report at one point (+ optional b_n SVG)
-theorem   JSON end-to-end one-slope/non-Robba/boundedness report
+norms     CSV of n, log_p ||G_n/n!|| at a fixed log-radius (--csv, --unnormalized)
+radius    JSON radius estimates at one point or on a grid (--unnormalized)
+polygon   JSON convergence polygon (+ optional --svg plot)
+bounded   JSON boundedness report at one point (--log-r, + optional --svg b_n plot)
+theorem   JSON end-to-end one-slope/non-Robba/boundedness report (--svg)
+frobenius JSON per-point check of the ramification radius relation
 cyclic    JSON scalar operator + gauge from a cyclic-vector search
-pullback  writes the ramification pullback as a new module definition
+pullback  writes the ramification pullback as a new module definition (--out)
 catalog   lists the built-in example families
+
+Each command reads the flag-only options (no [run] key) in its parentheses,
+and all but pullback read --json; any other one given is an error.
 
 A module comes either from a config file (``--config``) or from the catalog
 (``--catalog NAME`` plus its parameter flags; a flag the family does not
-take is an error, except ``--h``, which is also the pullback order).
+take is an error, except ``--h``, which is also the pullback order).  Either
+way, a matrix entry with a pole on the annulus is an error.
 Config files are INI-style::
 
     [module]
@@ -26,16 +31,11 @@ Config files are INI-style::
     ; or log_interval = -2, 2  ; exact base-p log-radii
 
     [run]
-    depth = 256
-    grid = 17
-    max_denominator = 32
-    mode = exact
-    tolerance = 0.02
-    rho = 0
-    h = 1
-    seed = 0
+    depth = 256              ; one line per RUN_KEYS entry, each optional
 
-Command-line flags override [run] values; every [run] value is parsed and
+Each [run] key has a flag, ``--`` plus the key with ``-`` for ``_``
+(``tolerance`` is ``--tol``), that overrides it; a value from a flag or
+from [run] goes through the same cast, and every [run] value is parsed and
 checked even when a flag overrides it.  Unknown sections and unknown keys
 in [module] or [run] are rejected.  Radii that are exact powers of p
 convert to exact log-radii; anything else is stored as a rational
@@ -153,8 +153,8 @@ def _one_of(*allowed: str):
     return cast
 
 
-# Every run parameter: [run] key -> (cast, default).  The command-line flag
-# whose dest is the key overrides the file, and goes through the same cast.
+# Every run parameter: [run] key -> (cast, default).  The parser makes one
+# flag per key; a flag overrides the file and goes through the same cast.
 RUN_KEYS = {
     "depth": (_at_most(MAX_DEPTH), 256),
     "grid": (_at_most(MAX_GRID), 17),
@@ -209,16 +209,14 @@ def _interval_from_texts(
 ) -> Interval:
     if (interval is None) == (log_interval is None):
         raise InputError("give exactly one of interval (radii) or log_interval")
-    if log_interval is not None:
-        parts = [s for s in log_interval.split(",") if s.strip()]
-        if len(parts) != 2:
-            raise InputError("log_interval must be 'lo, hi'")
-        return Interval(*(_parse_log_radius(s, "log_interval ends") for s in parts))
-    parts = [s for s in interval.split(",") if s.strip()]
+    radii = log_interval is None
+    parts = [s for s in (interval if radii else log_interval).split(",") if s.strip()]
     if len(parts) != 2:
-        raise InputError("interval must be 'r1, r2'")
-    r1, r2 = _parse_fraction(parts[0]), _parse_fraction(parts[1])
-    return Interval(log_radius_of(r1, p), log_radius_of(r2, p))
+        raise InputError("interval must be 'r1, r2'" if radii else "log_interval must be 'lo, hi'")
+    if not radii:
+        return Interval(*(_parse_log_radius(s, "log_interval ends") for s in parts))
+    ends = [_parse_fraction(s) for s in parts]
+    return Interval(*(log_radius_of(r, p) for r in ends))
 
 
 def _matrix_from_text(text: str, var: str) -> RFMatrix:
@@ -261,8 +259,7 @@ def _load_config_module(path: str) -> tuple[DiffModule, dict]:
     var = sec.get("variable", "x").strip()
     interval = _interval_from_texts(p.p, sec.get("interval"), sec.get("log_interval"))
     matrix = _matrix_from_text(sec["matrix"], var)
-    module = DiffModule(p, matrix, interval, var).validate()
-    return module, run
+    return DiffModule(p, matrix, interval, var), run
 
 
 def _module_from_args(args) -> tuple[DiffModule, dict]:
@@ -273,7 +270,7 @@ def _module_from_args(args) -> tuple[DiffModule, dict]:
     if args.catalog:
         if args.p is None:
             raise InputError("--catalog needs --p")
-        p = as_prime(args.p)
+        p = as_prime(_cast("p", int, args.p))
         interval = _interval_from_texts(p.p, args.interval, args.log_interval)
         # only the family flags given; --h is also the frobenius/pullback
         # order, so it reaches only a family that takes it
@@ -283,7 +280,7 @@ def _module_from_args(args) -> tuple[DiffModule, dict]:
             params["q"] = tuple(args.q)
         takes = FAMILIES[args.catalog].takes if args.catalog in FAMILIES else ()
         if args.h is not None and "h" in takes:
-            params["h"] = args.h
+            params["h"] = _cast("h", RUN_KEYS["h"][0], args.h)
         return catalog_get(args.catalog, p, **params).build(interval), {}
     raise InputError("a module is required: --config FILE or --catalog NAME")
 
@@ -449,7 +446,7 @@ def _cmd_pullback(args, cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_catalog(args, cfg=None) -> int:
+def _cmd_catalog(args, cfg: argparse.Namespace) -> int:
     # each family's example parameters at p = 2, so expected values are concrete
     window = Interval(-2, 2)
     entries = []
@@ -477,17 +474,20 @@ def _cmd_catalog(args, cfg=None) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# each command's handler and the flag-only options (no [run] key) it reads;
+# any other flag-only option given is an error
 _COMMANDS = {
-    "norms": _cmd_norms,
-    "radius": _cmd_radius,
-    "polygon": _cmd_polygon,
-    "bounded": _cmd_bounded,
-    "theorem": _cmd_theorem,
-    "frobenius": _cmd_frobenius,
-    "cyclic": _cmd_cyclic,
-    "pullback": _cmd_pullback,
-    "catalog": _cmd_catalog,
+    "norms": (_cmd_norms, ("unnormalized", "csv", "json")),
+    "radius": (_cmd_radius, ("unnormalized", "json")),
+    "polygon": (_cmd_polygon, ("svg", "json")),
+    "bounded": (_cmd_bounded, ("log_r", "svg", "json")),
+    "theorem": (_cmd_theorem, ("svg", "json")),
+    "frobenius": (_cmd_frobenius, ("json",)),
+    "cyclic": (_cmd_cyclic, ("json",)),
+    "pullback": (_cmd_pullback, ("out",)),
+    "catalog": (_cmd_catalog, ("json",)),
 }
+_FLAG_ONLY = ("unnormalized", "log_r", "svg", "csv", "out", "json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -510,31 +510,25 @@ def _build_parser() -> argparse.ArgumentParser:
     src = parser.add_argument_group("module source")
     src.add_argument("--config", help="INI module definition")
     src.add_argument("--catalog", help="catalog entry name")
-    src.add_argument("--p", type=int, help="prime (with --catalog)")
+    src.add_argument("--p", help="prime (with --catalog)")
     src.add_argument("--alpha", help="catalog parameter alpha")
     src.add_argument("--a", help="catalog parameter a")
     src.add_argument("--q", action="append", help="catalog coefficient q (repeatable)")
     src.add_argument("--interval", help="radii 'r1, r2'")
     src.add_argument("--log-interval", dest="log_interval", help="log-radii 'lo, hi'")
 
-    run = parser.add_argument_group("run parameters")
-    run.add_argument("--depth", type=int)
-    run.add_argument("--grid", type=int)
-    run.add_argument("--max-denominator", dest="max_denominator", type=int)
-    run.add_argument("--mode", choices=["exact", "float"])
-    run.add_argument("--method", choices=["tail-min", "tail-slope"])
-    run.add_argument("--tol", dest="tolerance", type=float)
-    run.add_argument("--rho", help="log-radius for norms/bounded/radius")
-    run.add_argument("--log-r", dest="log_r", help="log R for bounded")
-    run.add_argument("--h", type=int, help="pullback order (and catalog parameter h)")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--unnormalized", action="store_true", help="drop the n! factor")
+    run = parser.add_argument_group("run parameters", "each overrides its [run] key")
+    for key in RUN_KEYS:
+        run.add_argument("--tol" if key == "tolerance" else "--" + key.replace("_", "-"), dest=key)
 
-    out = parser.add_argument_group("outputs")
-    out.add_argument("--json", help="JSON report path (default stdout)")
-    out.add_argument("--csv", help="CSV path (norms)")
-    out.add_argument("--svg", help="SVG plot path")
-    out.add_argument("--out", help="module definition path (pullback)")
+    only = parser.add_argument_group("flag-only options", "each read by the commands named")
+    only.add_argument("--log-r", help="log R (bounded)")
+    only.add_argument("--unnormalized", action="store_true", default=None,
+                      help="drop the n! factor (norms, radius)")
+    only.add_argument("--json", help="JSON report path, default stdout (all but pullback)")
+    only.add_argument("--csv", help="CSV path (norms)")
+    only.add_argument("--svg", help="SVG plot path (polygon, bounded, theorem)")
+    only.add_argument("--out", help="module definition path (pullback)")
     return parser
 
 
@@ -547,11 +541,15 @@ def _error_payload(exc: Exception) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        handler, reads = _COMMANDS[args.command]
+        unread = [o for o in _FLAG_ONLY if getattr(args, o) is not None and o not in reads]
+        if unread:
+            flags = ", ".join("--" + o.replace("_", "-") for o in unread)
+            raise InputError(f"{args.command} does not read {flags}")
         if args.command == "catalog":
-            return _cmd_catalog(args)
+            return handler(args, _merge_config(args, None, {}))
         module, run = _module_from_args(args)
-        cfg = _merge_config(args, module, run)
-        return _COMMANDS[args.command](args, cfg)
+        return handler(args, _merge_config(args, module.validate(), run))
     except BudgetExceededError as exc:
         sys.stderr.write(_error_payload(exc))
         return 3

@@ -55,6 +55,11 @@ def test_log_radius_approximate():
     assert abs(float(rho) - 1.5849625007211562) < 1e-11
 
 
+def test_log_radius_within_float_precision_of_1():
+    # both logs round to one float, so log_p r reads 0.0, whose log10 is undefined
+    assert log_radius_of(F(10**20 + 1, 10**20), 2) == 0
+
+
 # -- commands -------------------------------------------------------------------
 
 
@@ -134,6 +139,21 @@ def test_norms_csv(tmp_path, config_file, capsys):
     assert lines[0] == "n,value,exact"
     assert lines[1].startswith("0,")
     assert len(lines) == 18
+
+
+def test_unnormalized_drops_the_factorial(capsys):
+    argv = ["--catalog", "exp", "--p", "2", "--interval", "1, 4", "--rho", "1", "--depth", "16"]
+    for extra, normalized in (([], True), (["--unnormalized"], False)):
+        code, doc, _ = run_json(capsys, ["radius", *argv, *extra])
+        assert code == 0 and doc["normalized"] is normalized
+    tables = []
+    for extra in ([], ["--unnormalized"]):
+        assert main(["norms", *argv, *extra]) == 0
+        tables.append([line.split(",") for line in capsys.readouterr().out.splitlines()[1:]])
+    # log_2 ||G_n/n!|| = log_2 ||G_n|| + v_2(n!), and v_2(n!) = n - s_2(n)
+    assert [F(row[2]) for row in tables[0]] == [
+        F(row[2]) + n - bin(n).count("1") for n, row in enumerate(tables[1])
+    ]
 
 
 def test_norms_csv_leaves_vanishing_terms_blank(tmp_path, capsys):
@@ -262,7 +282,7 @@ def test_budget_exit_code(monkeypatch, capsys):
     def boom(args, cfg):
         raise BudgetExceededError("too big")
 
-    monkeypatch.setitem(cli._COMMANDS, "radius", boom)
+    monkeypatch.setitem(cli._COMMANDS, "radius", (boom, cli._COMMANDS["radius"][1]))
     code = main(["radius", "--catalog", "exp", "--p", "2", "--interval", "1, 4"])
     captured = capsys.readouterr()
     assert code == 3
@@ -451,6 +471,31 @@ def case(config, argv, error_type, named, id):
              "matrix-cell-1/0"),
         case(MODULE.replace("0, 1\n", "0, 0^-1\n"), ["radius"], "InputError", "negative power",
              "matrix-cell-0^-1"),
+        case(None, ["radius", "--catalog", "companion", "--p", "2", "--q", "1/(x-2)",
+                    "--interval", "1/4, 1", "--rho=-1/2", "--depth", "16"], "InputError",
+             "poles on the annulus: [(0, 0)]", "catalog-pole-on-annulus"),
+        case(MODULE, ["radius", "--mode", "fast"], "InputError", "mode = 'fast'",
+             "flag-mode-unknown"),
+        case(None, ["radius", *_FAMILY, "exp", "--p", "two"], "InputError", "p = 'two'",
+             "catalog-p-not-int"),
+        case(None, ["radius", *_FAMILY, "pullback-exp", "--h", "0"], "InputError", "h = '0'",
+             "catalog-pullback-exp-h-0"),
+        case(None, ["catalog", "--depth", "abc"], "InputError", "abc", "catalog-depth-not-int"),
+        # a flag-only option on a command that does not read it
+        *(case(MODULE, [command, "--depth", "16", "--grid", "3", *option], "InputError", named,
+               f"{command}-does-not-read-{named}")
+          for command, option, named in (
+              ("polygon", ["--unnormalized"], "--unnormalized"),
+              ("bounded", ["--rho", "0", "--unnormalized"], "--unnormalized"),
+              ("theorem", ["--unnormalized"], "--unnormalized"),
+              ("catalog", ["--unnormalized"], "--unnormalized"),
+              ("radius", ["--svg", "plot.svg", "--csv", "norms.csv"], "--svg, --csv"),
+              ("radius", ["--log-r", "0"], "--log-r"),
+              ("frobenius", ["--svg", "plot.svg"], "--svg"),
+              ("polygon", ["--csv", "norms.csv"], "--csv"),
+              ("norms", ["--rho", "0", "--out", "pulled.ini"], "--out"),
+              ("pullback", ["--json", "report.json"], "--json"),
+          )),
     ],
 )
 def test_invalid_input_is_one_json_error(
