@@ -9,6 +9,7 @@ the closed form.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -122,7 +123,7 @@ class Family:
     example: Optional[dict]
     make: Callable
 
-    @property
+    @functools.cached_property
     def takes(self) -> tuple[str, ...]:
         """The parameters the family takes: the maker's, after the prime."""
         return tuple(inspect.signature(self.make).parameters)[1:]

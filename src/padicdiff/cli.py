@@ -18,7 +18,8 @@ and all but pullback read --json; any other one given is an error.
 A module comes either from a config file (``--config``) or from the catalog
 (``--catalog NAME`` plus its parameter flags; a flag the family does not
 take is an error, except ``--h``, which is also the pullback order).  Either
-way, a matrix entry with a pole on the annulus is an error.
+way, a matrix entry with a pole on the annulus is an error.  The catalog
+command reads no module, so a module-source flag given to it is an error.
 Config files are INI-style::
 
     [module]
@@ -72,6 +73,7 @@ from .errors import BudgetExceededError, InputError, PadicDiffError, ParseError
 from .jsonutil import (
     SCHEMA_VERSION,
     bounded_json,
+    dumps,
     estimate_json,
     fmt_float,
     frac_str,
@@ -298,7 +300,7 @@ def _merge_config(args, module: DiffModule, run: dict) -> argparse.Namespace:
 def _emit(args, kind: str, fields: dict) -> None:
     """Write one report: the envelope (schema version, kind), then its fields."""
     payload = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
-    _write(args.json, json.dumps(payload, indent=2) + "\n")
+    _write(args.json, dumps(payload) + "\n")
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -488,6 +490,8 @@ _COMMANDS = {
     "catalog": (_cmd_catalog, ("json",)),
 }
 _FLAG_ONLY = ("unnormalized", "log_r", "svg", "csv", "out", "json")
+# the module-source options, which every command but catalog reads
+_MODULE_SOURCE = ("config", "catalog", "p", "alpha", "a", "q", "interval", "log_interval")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -542,7 +546,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         handler, reads = _COMMANDS[args.command]
-        unread = [o for o in _FLAG_ONLY if getattr(args, o) is not None and o not in reads]
+        options = _FLAG_ONLY + (_MODULE_SOURCE if args.command == "catalog" else ())
+        unread = [o for o in options if getattr(args, o) is not None and o not in reads]
         if unread:
             flags = ", ".join("--" + o.replace("_", "-") for o in unread)
             raise InputError(f"{args.command} does not read {flags}")

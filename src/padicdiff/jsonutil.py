@@ -1,10 +1,13 @@
 """Report serialization: every report's JSON fields, with exact rationals as
 "num/den" strings and floats at fixed precision, so identical runs emit
-byte-identical reports.  ``cli`` wraps the fields in the report envelope."""
+byte-identical reports.  ``cli`` wraps the fields in the report envelope and
+writes it with ``dumps``."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import inf
 from typing import Optional, Union
 
 from .arith import MAX_DIGITS
@@ -17,6 +20,9 @@ def fmt_float(x: Union[int, float, Fraction, None]) -> Optional[float]:
     """Round-trip a number through 12 significant digits."""
     if x is None:
         return None
+    if type(x) is Fraction:
+        # int / int rounds correctly, as float() of a Fraction does
+        return float(f"{x.numerator / x.denominator:.12g}")
     return float(f"{float(x):.12g}")
 
 
@@ -31,11 +37,80 @@ def frac_str(x: Union[int, float, Fraction, None]) -> Optional[str]:
     if isinstance(x, float):
         return f"{x:.12g}"
     try:
-        return str(Fraction(x))
+        return str(x if type(x) is Fraction else Fraction(x))
     except ValueError as exc:
         raise InputError(
             f"a result has more than {MAX_DIGITS} digits and cannot be printed"
         ) from exc
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the printer of each scalar type, by exact type: a subclass, a tuple or a
+# Fraction is not a report value and must not be written as if it were one
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def dumps(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2)``, for str-keyed dicts, lists,
+    str, int, float, bool and None; any other type raises TypeError."""
+    chunks: list[str] = []
+    _append(obj, "\n", chunks)
+    return "".join(chunks)
+
+
+def _append(obj, newline: str, chunks: list[str]) -> None:
+    """Append ``obj``'s text to ``chunks``; ``newline`` is the newline and
+    indent of the line that ``obj`` starts on."""
+    kind = type(obj)
+    printer = _SCALARS.get(kind)
+    if printer is not None:
+        chunks.append(printer(obj))
+        return
+    if kind is not dict and kind is not list:
+        raise TypeError(f"a report holds no {kind.__name__}: {obj!r}")
+    if not obj:
+        chunks.append("{}" if kind is dict else "[]")
+        return
+    inner = newline + "  "
+    if kind is dict:
+        sep = "{" + inner
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"a report key must be a str, not {type(key).__name__}: {key!r}")
+            chunks.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            printer = _SCALARS.get(type(value))
+            if printer is None:
+                _append(value, inner, chunks)
+            else:
+                chunks.append(printer(value))
+        chunks.append(newline + "}")
+    else:
+        sep = "[" + inner
+        for value in obj:
+            chunks.append(sep)
+            sep = "," + inner
+            printer = _SCALARS.get(type(value))
+            if printer is None:
+                _append(value, inner, chunks)
+            else:
+                chunks.append(printer(value))
+        chunks.append(newline + "]")
 
 
 def estimate_json(est) -> dict:

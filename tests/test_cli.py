@@ -481,6 +481,14 @@ def case(config, argv, error_type, named, id):
         case(None, ["radius", *_FAMILY, "pullback-exp", "--h", "0"], "InputError", "h = '0'",
              "catalog-pullback-exp-h-0"),
         case(None, ["catalog", "--depth", "abc"], "InputError", "abc", "catalog-depth-not-int"),
+        # catalog reads no module, so each module-source flag is an error
+        case(None, ["catalog", "--config", "missing.ini", "--catalog", "nope", "--p", "x",
+                    "--interval", "junk"], "InputError", "--config, --catalog, --p, --interval",
+             "catalog-module-source-flags"),
+        *(case(None, ["catalog", flag, "1"], "InputError", f"catalog does not read {flag}",
+               f"catalog-does-not-read-{flag}")
+          for flag in ("--config", "--catalog", "--p", "--alpha", "--a", "--q", "--interval",
+                       "--log-interval")),
         # a flag-only option on a command that does not read it
         *(case(MODULE, [command, "--depth", "16", "--grid", "3", *option], "InputError", named,
                f"{command}-does-not-read-{named}")
