@@ -68,6 +68,9 @@ DEFAULT_COEFF_BUDGET = 5_000_000
 _NEVER = 1 << 62
 # the coefficient dict of the polynomial 1
 _ONE = {0: 1}
+# a step adds a source entry of at most this many coefficients with an index
+# loop, a longer one with a slice axpy (see ``RecursionState``)
+_SHORT = 8
 
 
 class RFMatrix:
@@ -299,13 +302,18 @@ class RecursionState:
     ramification pullback, usually 1 otherwise).  So every exponent of S_n
     lies in one residue class mod g, and each entry is stored densely on it:
     a ``_Coeffs`` list of the coefficients of x^(lo + g*k).  An entry of
-    S_{n+1} is one zeroed list, added into by one slice axpy per term of the
-    short factors d*Q*G[t][j] and Q; the Q term folds S' and Q' into one
-    multiplier per coefficient, d*v*(e - n*f) for the term v*x^f of Q and the
-    exponent e of the coefficient.  A step computes its rows in one pass
-    (``_rows``), which reads for each entry j the source list that the
-    constructor plans once: the nonzero d*Q*G[t][j], each with its least and
-    largest shift, which size the list; the same pass cuts and trims it.
+    S_{n+1} is one zeroed list, into which each term of the short factors
+    d*Q*G[t][j] and Q adds the source entry it multiplies; the Q term folds
+    S' and Q' into one multiplier per coefficient, d*v*(e - n*f) for the
+    term v*x^f of Q and the exponent e of the coefficient.  A source of at
+    most ``_SHORT`` coefficients is added with an index loop, a longer one
+    with a slice axpy: a slice costs a fixed amount to build, which outweighs
+    the arithmetic on the few coefficients that floored entries keep, while
+    on a long source its cost per element is the lower.  A step computes its
+    rows in one pass (``_rows``), which reads for each entry j the source
+    list that the constructor plans once: the nonzero d*Q*G[t][j], each with
+    its least and largest shift, which size the list; the same pass cuts and
+    trims it.
 
     A companion matrix (rows 0..mu-2 are e_1, ..., e_(mu-1)) is the system
     of X = (u, u', ..., u^(mu-1)), so X_i = X_0^(i): every row of G_n follows
@@ -653,6 +661,10 @@ class RecursionState:
                         size = len(b)
                         for s, v in terms:
                             k = (b.lo + s - lo) // g
+                            if size <= _SHORT:
+                                for k, y in enumerate(b, k):
+                                    acc[k] += v * y
+                                continue
                             at = slice(k, k + size)
                             # a product by 1 still copies the big integer; skip it
                             if v == 1:
@@ -663,11 +675,16 @@ class RecursionState:
                     size = len(bq)
                     for s, dv, dfv in qterms:
                         k = (bq.lo + s - lo) // g
-                        at = slice(k, k + size)
                         # the multiplier d*v*(e - m*f) at each exponent e of bq, a ramp
-                        r0, dr = dv * bq.lo - m * dfv, dv * g
-                        ramp = range(r0, r0 + dr * size, dr)
-                        acc[at] = [x + r * y for x, r, y in zip(acc[at], ramp, bq)]
+                        r, dr = dv * bq.lo - m * dfv, dv * g
+                        if size <= _SHORT:
+                            for k, y in enumerate(bq, k):
+                                acc[k] += r * y
+                                r += dr
+                            continue
+                        at = slice(k, k + size)
+                        ramp = range(r, r + dr * size, dr)
+                        acc[at] = [x + c * y for x, c, y in zip(acc[at], ramp, bq)]
                 # keep acc[k0:k1]: the exponents lo + g*k >= the cap (side 1)
                 # or <= it (side -1), without the zero ends
                 k0, k1 = 0, len(acc)

@@ -896,7 +896,9 @@ def entry_the_slow_way(state, factors, Si, j, n, cap):
 def test_the_row_pass_matches_the_entry_by_entry_step():
     """``_rows`` on the windows that runs reach, floored ones included, with
     and without a cap and a slack on one-sided intervals, with neither when
-    straddling: every entry's lo and values, and ``_dropped``."""
+    straddling: every entry's lo and values, and ``_dropped``.  Both kernels
+    run, the index loop on sources of at most ``_SHORT`` coefficients and the
+    slice axpy on longer ones, for the terms of d*Q*G and for the Q ramp."""
     seen = []
 
     @settings(max_examples=150, deadline=None)
@@ -931,11 +933,52 @@ def test_the_row_pass_matches_the_entry_by_entry_step():
                 assert (got[i][j].lo, list(got[i][j])) == want, (i, j)
                 dropped = dropped or drop
         assert state._dropped == dropped
-        seen.append((cap is not None, slack is not None, dropped and not before))
+        # the lengths of the sources added: entry t of row i for each nonzero
+        # d*Q*G[t][j], entry j itself for the Q ramp
+        terms = [len(Si[t]) for Si in rows for j in range(state.rank)
+                 for t in range(state.rank) if Si[t] and any(factors[t][j].values())]
+        ramp = [len(Si[j]) for Si in rows for j in range(state.rank) if Si[j]]
+        short = diffmod._SHORT
+        seen.append((cap is not None, slack is not None, dropped and not before,
+                     any(n <= short for n in terms), any(n > short for n in terms),
+                     any(n <= short for n in ramp), any(n > short for n in ramp)))
 
     check()
-    # some passes were cut, some under a slack, and some cuts dropped a coefficient
+    # some passes were cut, some under a slack, and some cuts dropped a
+    # coefficient; short and long sources were added on both kernels
     assert all(any(flags) for flags in zip(*seen)), seen
+
+
+def kernel_run(m, depth):
+    """The state of ``m`` grown to ``depth``, and log_norms with and without
+    n! at both ends and the midpoint of its interval."""
+    state = gn_sequence(dataclasses.replace(m), depth)
+    iv = m.interval
+    norms = [state.log_norms(rho, depth, f)
+             for rho in (iv.lo, iv.hi, (iv.lo + iv.hi) / 2) for f in (True, False)]
+    return state._hulls, state._coeff_count, state._inward, norms
+
+
+@pytest.mark.parametrize("short", [0, 2**62], ids=["slice-axpy-only", "index-loop-only"])
+@pytest.mark.parametrize(
+    "module, depth",
+    [
+        # sources on both sides of the cut: straddling 0, with no floor
+        pytest.param(sparse_module, 96, id="straddling"),
+        # a few coefficients an entry, under floors
+        pytest.param(deep_rank3_module, 128, id="floored"),
+        # stride 7 and positive content
+        pytest.param(lambda: frobenius_pullback(sparse_module(), 1), 96, id="pulled"),
+    ],
+)
+def test_each_kernel_alone_gives_the_same_state(monkeypatch, module, depth, short):
+    """Every source through the slice axpy (a cut of 0) or through the index
+    loop (a cut past any length) gives the default run's hulls, counts,
+    inward distances and norms."""
+    m = module()
+    want = kernel_run(m, depth)
+    monkeypatch.setattr(diffmod, "_SHORT", short)
+    assert kernel_run(m, depth) == want
 
 
 def test_floored_run_on_the_benchmark_module(monkeypatch):
