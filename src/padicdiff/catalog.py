@@ -104,12 +104,9 @@ def _pullback_exp(p: Prime, alpha: Rational = 1, h: int = 1):
     if h < 1:
         raise InputError("pullback-exp needs h >= 1")
     stored, base, _ = _exp(p, alpha)
-    scale = p.p**h
-
-    def build(interval: Interval) -> DiffModule:
-        return frobenius_pullback(base(interval.scaled(scale)), h)
-
-    return {**stored, "h": h}, build, lambda interval: None
+    # the pulled matrix does not depend on the interval: pull it back once
+    pulled = frobenius_pullback(base(Interval(0, 1)), h).matrix.entry(0, 0)
+    return {**stored, "h": h}, _scalar(p, pulled), lambda interval: None
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,8 @@ from .laurent import (
     LaurentPoly,
     RationalFunction,
     _coerce,
-    _content,
-    _poly_divmod,
-    _poly_gcd,
+    common_denominator,
+    exact_quotient,
     pole_free_on,
     parse_rational_function,
 )
@@ -264,16 +263,6 @@ class DiffModule:
         return self
 
 
-def _int_terms(f: LaurentPoly) -> list[tuple[int, int]]:
-    """(exponent, integer coefficient) pairs of f in increasing exponent order."""
-    out = []
-    for e, v in sorted(f.coeffs.items()):
-        if v.denominator != 1:
-            raise InputError("expected integer coefficients")
-        out.append((e, v.numerator))
-    return out
-
-
 class _Coeffs(list):
     """One entry of S_n: the coefficients of x^(lo + g*k), k = 0, 1, ..., on
     the state's stride g, first and last nonzero (or empty)."""
@@ -291,8 +280,10 @@ class _Coeffs(list):
 class RecursionState:
     """Taylor-coefficient matrices of a module, scaled to integers.
 
-    G_n = S_n / (d^n Q^n) with integer S_n and a fixed integer d that clears
-    the coefficient denominators of Q*G, so each step
+    G_n = S_n / (d^n Q^n) with integer S_n, Q the least common multiple of
+    the reduced entries' denominators and Q*G each numerator times the exact
+    quotient Q/den, both from ``laurent``, and d the least integer clearing
+    the coefficients of Q*G, so each step
 
         S_{n+1} = d*(Q*S_n' - n*S_n*Q') + S_n*(d*Q*G)
 
@@ -406,42 +397,15 @@ class RecursionState:
         mu = module.rank
 
         reduced = [[e.reduce() for e in row] for row in module.matrix.rows]
-        # reduced denominators have positive leading coefficients, so Q does
-        q_dict: dict[int, Fraction] = {0: Fraction(1)}
-        for row in reduced:
-            for e in row:
-                den = e.den.coeffs
-                if den == _ONE:
-                    continue
-                g = _poly_gcd(q_dict, den)
-                extra, _ = _poly_divmod(den, g)
-                q_dict = (LaurentPoly(q_dict) * LaurentPoly(extra)).coeffs
-        content = _content(q_dict)
-        q_dict = {e: v / content for e, v in q_dict.items()}
-        self.Q = LaurentPoly(q_dict)
-
-        # numerators of Q*G as Laurent polynomials, then clear denominators
-        p_entries: list[list[LaurentPoly]] = []
-        for row in reduced:
-            new_row = []
-            for e in row:
-                den = e.den.coeffs
-                if den == _ONE:
-                    new_row.append(e.num * self.Q)
-                    continue
-                quo, rem = _poly_divmod(q_dict, den)
-                if rem:
-                    raise InputError("common denominator does not divide an entry denominator")
-                new_row.append(e.num * LaurentPoly(quo))
-            p_entries.append(new_row)
-        d = math.lcm(
-            *(v.denominator for row in p_entries for pe in row for v in pe.coeffs.values())
-        )
-        self.d = d
+        self.Q = common_denominator(e.den for row in reduced for e in row)
+        # Q*G, whose coefficient denominators d clears; Q's coefficients are integers
+        qg = [[e.num * exact_quotient(self.Q, e.den) for e in row] for row in reduced]
+        self.d = d = math.lcm(*(v.denominator for r in qg for f in r for v in f.coeffs.values()))
         # the terms of the short factors, in increasing shift order: (shift,
         # coefficient) of d*Q*G[t][j], and (f - 1, d*v, d*f*v) of v*x^f in Q
-        pt = [[_int_terms(pe * d) for pe in row] for row in p_entries]
-        self._qterms = tuple((f - 1, d * v, d * f * v) for f, v in _int_terms(self.Q))
+        pt = [[sorted((e, int(v * d)) for e, v in f.coeffs.items()) for f in row] for row in qg]
+        q_terms = sorted((f, int(v)) for f, v in self.Q.coeffs.items())
+        self._qterms = tuple((f - 1, d * v, d * f * v) for f, v in q_terms)
         # what entry j of a row of S_(m+1) reads, planned once for ``_rows``:
         # (t, terms, least shift, largest shift) of each nonzero d*Q*G[t][j]
         self._parts = tuple(

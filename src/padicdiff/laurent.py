@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .arith import (
     MAX_DIGITS,
@@ -236,12 +236,15 @@ def _mul_acc(acc: dict, a: Mapping[int, Rational], b: Mapping[int, Rational]) ->
 # ---------------------------------------------------------------------------
 
 
+_ONE = {0: 1}  # the coefficient dict of the polynomial 1
+
+
 def _deg(c: dict[int, Fraction]) -> int:
     return max(c) if c else -1
 
 
-def _poly_divmod(a: dict[int, Fraction], b: dict[int, Fraction]):
-    """Division with remainder in Q[x]; b must be nonzero."""
+def _poly_div(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The quotient of a by a nonzero b in Q[x]; the remainder is dropped."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = dict(a)
@@ -253,7 +256,7 @@ def _poly_divmod(a: dict[int, Fraction], b: dict[int, Fraction]):
         quo[dr - db] = f
         _mul_acc(rem, {dr - db: -f}, b)
         rem = {e: v for e, v in rem.items() if v}
-    return quo, rem
+    return quo
 
 
 def _prim_int(c: dict[int, Fraction]) -> dict[int, int]:
@@ -433,15 +436,13 @@ class RationalFunction:
             d0 = {e - m_den: v for e, v in self.den._c.items()}
             g = _poly_gcd(n0, d0)
             if _deg(g) > 0:
-                n0, _ = _poly_divmod(n0, g)
-                d0, _ = _poly_divmod(d0, g)
+                n0 = _poly_div(n0, g)
+                d0 = _poly_div(d0, g)
             scale = _content(d0)
             if d0[_deg(d0)] < 0:
                 scale = -scale
             num = LaurentPoly({e + m_num - m_den: v / scale for e, v in n0.items()})
             den = LaurentPoly({e: v / scale for e, v in d0.items()})
-            if den.is_monomial and den.min_exp == 0 and den.coeff(0) == 1:
-                den = LaurentPoly.one()
             out = RationalFunction(num, den)
         out._reduced = out
         self._reduced = out
@@ -456,6 +457,21 @@ def _coerce(value) -> RationalFunction:
     if isinstance(value, (int, Fraction)):
         return RationalFunction.constant(value)
     return NotImplemented
+
+
+def common_denominator(dens: Iterable[LaurentPoly]) -> LaurentPoly:
+    """The least common multiple Q of denominators as ``reduce`` leaves them:
+    a primitive integer polynomial with positive leading coefficient."""
+    q = LaurentPoly.one()
+    for den in dens:
+        if den._c != _ONE:
+            q = q * LaurentPoly(_poly_div(den._c, _poly_gcd(q._c, den._c)))
+    return LaurentPoly(_prim_int(q._c))
+
+
+def exact_quotient(q: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """q / den for polynomials q and den that divides it, such as Q / den."""
+    return q if den._c == _ONE else LaurentPoly(_poly_div(q._c, den._c))
 
 
 def gauss_norm(
@@ -517,6 +533,13 @@ def pole_logmags(f: RationalFunction, p: Union[int, Prime]) -> list[Fraction]:
 # (1+x)^n costs more than n^2, and (1+x)^2000 already takes about 8 times as
 # long as (1+x)^1000
 MAX_POWER_SPAN = 1000
+
+# largest span of the narrower side of a parsed entry whose numerator and
+# denominator are both non-monomial: ``reduce`` takes their gcd, whose cost
+# grows about as the fifth power of that span.  Built from single-digit
+# factors, the slowest such entries found reduce in about 1 s at span 80
+# ((3+5*x+7*x^2)^40/(2+9*x+8*x^2)^40: 1.1 s) and in up to 4 s at span 100
+MAX_GCD_SPAN = 80
 
 # deepest nesting of parentheses in matrix text; the parser recurses six
 # frames per level, so this stays well inside Python's recursion limit
@@ -621,6 +644,10 @@ class _Parser:
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.take()
             rhs = self.term()
+            if out.den != rhs.den:
+                # the sum is formed from cross products, sized as products are
+                for f, g in ((out.num, rhs.den), (rhs.num, out.den), (out.den, rhs.den)):
+                    _check_size("sum", [(f, 1), (g, 1)])
             out = out + rhs if op == "+" else out - rhs
         return out
 
@@ -684,7 +711,14 @@ def parse_rational_function(text: str, var: str = "x") -> RationalFunction:
     """Parse a rational-function string such as ``(1 - x^2)/(4*x)``."""
     if not text.strip():
         raise ParseError("empty expression")
-    return _Parser(_tokenize(text), var).parse()
+    out = _Parser(_tokenize(text), var).parse()
+    if len(out.num) > 1 and len(out.den) > 1:
+        if min(f.support[-1] - f.support[0] for f in (out.num, out.den)) > MAX_GCD_SPAN:
+            raise ParseError(
+                f"numerator and denominator both span more than {MAX_GCD_SPAN}:"
+                " too large to reduce"
+            )
+    return out
 
 
 def poly_to_str(f: LaurentPoly, var: str = "x") -> str:

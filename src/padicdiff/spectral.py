@@ -149,13 +149,9 @@ def cyclic_vector(
         ]
         q = tuple((-a[mu - i]).reduce() for i in range(1, mu + 1))
 
-        cut_points: set[Fraction] = set()
-        det_reduced = det.reduce()
-        cut_points.update(s for s, _ in newton_root_logmags(det_reduced.num, p))
-        if not det_reduced.den == LaurentPoly.one():
-            cut_points.update(s for s, _ in newton_root_logmags(det_reduced.den, p))
-        for qi in q:
-            cut_points.update(pole_logmags(qi, p))
+        # the zeros and poles of det and the poles of each q_i
+        cut_points = {s for s, _ in newton_root_logmags(det.reduce().num, p)}
+        cut_points.update(s for f in (det, *q) for s in pole_logmags(f, p))
         valid = tuple(module.interval.remove_points(cut_points))
         if not valid:
             continue

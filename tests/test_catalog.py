@@ -59,6 +59,9 @@ def test_pullback_exp_entry():
     assert (m.interval.lo, m.interval.hi) == (-1, 1)
     with pytest.raises(InputError):
         catalog_get("pullback-exp", 2, h=0)
+    # the pulled matrix is made with the entry, so p^h is checked then
+    with pytest.raises(InputError, match="digits"):
+        catalog_get("pullback-exp", 3, h=20_000_000)
 
 
 def test_unknown_name():

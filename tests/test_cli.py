@@ -404,6 +404,17 @@ def case(config, argv, error_type, named, id):
              "span more than 1000", "matrix-power-past-span-limit"),
         case(MODULE.replace("0, 1\n", "0, (1+x)^1000*(1+x)^1000\n"), ["pullback", "--h", "1"],
              "ParseError", "span more than 1000", "matrix-product-past-span-limit"),
+        # a sum over unequal denominators is sized by its cross products, and
+        # an entry whose reduction gcd would take minutes is refused at parse
+        case(None, ["radius", *_FAMILY, "companion", "--q",
+                    "(1+x)^600/(1+2*x)^600 + (1+3*x)^600/(1+4*x)^600"],
+             "ParseError", "sum: exponents would span more than 1000", "q-sum-past-span-limit"),
+        case(None, ["radius", *_FAMILY, "companion", "--q",
+                    "(1+x)^100*(1+3*x)^100/((1+2*x)^100*(1+4*x)^100)"],
+             "ParseError", "both span more than 80", "q-quotient-past-gcd-span-limit"),
+        case(None, ["radius", *_FAMILY, "companion", "--q",
+                    "(1+x)^100/(1+2*x)^100 + (1+3*x)^100/(1+4*x)^100"],
+             "ParseError", "both span more than 80", "q-sum-past-gcd-span-limit"),
         case(MODULE.replace("0, 1\n", "0, " + "(" * 200 + "1" + ")" * 200 + "\n"), ["radius"],
              "ParseError", "nested more than", "matrix-cell-parentheses-past-nesting-limit"),
         case(None, ["radius", *_FAMILY, "companion", "--q", "(" * 200 + "1" + ")" * 200],
@@ -480,6 +491,9 @@ def case(config, argv, error_type, named, id):
              "catalog-p-not-int"),
         case(None, ["radius", *_FAMILY, "pullback-exp", "--h", "0"], "InputError", "h = '0'",
              "catalog-pullback-exp-h-0"),
+        case(None, ["radius", "--catalog", "pullback-exp", "--p", "3", "--h", "200000000",
+                    "--interval", "1/3, 3", "--rho", "0", "--depth", "16"], "InputError",
+             "p^h = 3^200000000", "catalog-pullback-exp-h-past-digit-limit"),
         case(None, ["catalog", "--depth", "abc"], "InputError", "abc", "catalog-depth-not-int"),
         # catalog reads no module, so each module-source flag is an error
         case(None, ["catalog", "--config", "missing.ini", "--catalog", "nope", "--p", "x",

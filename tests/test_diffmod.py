@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import math
 import random
@@ -24,7 +25,13 @@ from padicdiff.diffmod import (
     norm_sequence,
 )
 from padicdiff.errors import BudgetExceededError, DomainError, InputError, InvalidGaugeError
-from padicdiff.laurent import LaurentPoly, RationalFunction, gauss_norm, parse_rational_function
+from padicdiff.laurent import (
+    LaurentPoly,
+    RationalFunction,
+    _poly_gcd,
+    gauss_norm,
+    parse_rational_function,
+)
 from padicdiff.radius import least_squares_line, radius_estimate, tail_window
 
 P2 = Prime(2)
@@ -219,6 +226,48 @@ def test_term_matrix_matches_rfmatrix_recursion():
 
     check()
     assert any(g > 1 for g in strides), strides
+
+
+def check_setup(m):
+    """The set-up's Q and d for module m are least and Q is canonical;
+    returns whether Q != 1 and d > 1."""
+    state = RecursionState(m)
+    Q, d = state.Q, state.d
+    entries = [e.reduce() for row in m.matrix.rows for e in row]
+    # every reduced denominator divides Q, and the quotients Q/den have gcd 1,
+    # so Q is least
+    quotients = [RationalFunction(Q, e.den).reduce() for e in entries]
+    assert all(q.den == LaurentPoly.one() for q in quotients)
+    assert functools.reduce(_poly_gcd, (q.num.coeffs for q in quotients)) == {0: 1}
+    # Q is primitive with a positive leading coefficient
+    coeffs = Q.coeffs
+    assert all(v.denominator == 1 for v in coeffs.values())
+    assert math.gcd(*(v.numerator for v in coeffs.values())) == 1
+    assert coeffs[max(coeffs)] > 0
+    # d*Q*G is integral, and (d/p)*Q*G is not for any prime p dividing d
+    qg = [(e * Q).reduce() for e in entries]
+    assert all(f.den == LaurentPoly.one() for f in qg)
+    values = [v for f in qg for v in f.num.coeffs.values()]
+    assert all((v * d).denominator == 1 for v in values)
+    primes = [q for q in range(2, d + 1) if d % q == 0 and all(q % r for r in range(2, q))]
+    for p in primes:
+        assert any((v * (d // p)).denominator != 1 for v in values)
+    return len(Q) > 1, d > 1
+
+
+def test_setup_forms_the_least_common_denominator_and_scale():
+    # denominators sharing factors, so their lcm is not their product
+    shared = [["1/(1+x)", "2/(3*(1+x)^2)"], ["x/(3-x^2)", "1/((1+x)*(3-x^2))"]]
+    assert check_setup(DiffModule(P2, RFMatrix.from_strings(shared), I01)) == (True, True)
+    seen = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=small_modules())
+    def check(case):
+        seen.add(check_setup(case[0]))
+
+    check()
+    assert (True, True) in seen, seen
 
 
 def test_budget_guard():

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from padicdiff.arith import Interval, log_abs
 from padicdiff.errors import InputError, ParseError
 from padicdiff.laurent import (
     LaurentPoly,
     _mul_acc,
+    _poly_gcd,
     RationalFunction,
     gauss_norm,
     newton_root_logmags,
@@ -277,6 +278,28 @@ def test_reduce_cancels_common_factor():
     assert r.den == LaurentPoly.one()
 
 
+@settings(deadline=None)
+@given(num=coeff_maps, den=coeff_maps.filter(bool), h=coeff_maps.filter(bool))
+def test_reduce_returns_the_canonical_form(num, den, h):
+    f = RationalFunction(LaurentPoly(num), LaurentPoly(den))
+    r = f.reduce()
+    assert r == f
+    # a primitive integer denominator, leading coefficient positive, constant term nonzero
+    coeffs = r.den.coeffs
+    assert all(v.denominator == 1 for v in coeffs.values())
+    assert math.gcd(*(v.numerator for v in coeffs.values())) == 1
+    assert coeffs[max(coeffs)] > 0 and r.den.min_exp == 0
+    if not r.is_zero:
+        shifted = {e - r.num.min_exp: v for e, v in r.num.coeffs.items()}
+        assert _poly_gcd(shifted, coeffs) == {0: 1}
+    # idempotent, and the same dicts for f built another way
+    assert r.reduce() is r
+    h = LaurentPoly(h)
+    for g in (RationalFunction(r.num, r.den), RationalFunction(f.num * h, f.den * h)):
+        g = g.reduce()
+        assert (g.num.coeffs, g.den.coeffs) == (r.num.coeffs, r.den.coeffs)
+
+
 def test_rf_field_ops():
     f = P("1/(1+x)")
     g = P("x/(1+x)")
@@ -337,6 +360,10 @@ def test_power_size_is_predicted_before_expanding():
     assert P("x^3000*(1+x)") == RationalFunction(LaurentPoly({3000: 1, 3001: 1}))
     assert P("7*(1+x^2000)") == RationalFunction(LaurentPoly({0: 7, 2000: 7}))
     assert P("(1+x)^600*(1+x)^400").num.coeff(500) == math.comb(1000, 500)
+    # an entry whose gcd needs no long run: one side monomial or spanning at most 80
+    assert P("(x^19999+1)/(x+1)").reduce().num.coeff(19998) == 1
+    assert P("(1+x)^80/(1+2*x)^80").reduce().den.coeff(80) == 2**80
+    assert P("1/(1+x) + 1/(1+2*x)") == P("(2+3*x)/((1+x)*(1+2*x))")
     for bad, named in (
         ("(1/3)^10000", "4300 digits"),
         ("(1+x)^1001", "span more than 1000"),
@@ -346,6 +373,10 @@ def test_power_size_is_predicted_before_expanding():
         ("(1+x)^1000/(1/(1+x)^1000)", "quotient: exponents would span more than 1000"),
         ("(1+x^600)*(1+x^401)", "product: exponents would span more than 1000"),
         ("(10^1000)^4*10^1000", "product: coefficients would pass 4300 digits"),
+        # a sum over unequal denominators is sized by its cross products
+        ("(1+x)^600/(1+2*x) + 1/(1+3*x)^401", "sum: exponents would span more than 1000"),
+        ("(1+x)^81/(1+2*x)^81", "both span more than 80"),
+        ("1/(1+x)^81 + 1/(1+3*x)", "both span more than 80"),
     ):
         with pytest.raises(ParseError, match=named):
             parse_rational_function(bad)
