@@ -13,7 +13,7 @@ pullback  writes the ramification pullback as a new module definition (--out)
 catalog   lists the built-in example families
 
 Each command reads the flag-only options (no [run] key) in its parentheses,
-and all but pullback read --json; any other one given is an error.
+and all but norms and pullback read --json; any other one given is an error.
 
 A module comes either from a config file (``--config``) or from the catalog
 (``--catalog NAME`` plus its parameter flags; a flag the family does not
@@ -336,7 +336,7 @@ def _cmd_norms(args, cfg: argparse.Namespace) -> int:
             lines.append(f"{n},,")
         else:
             lines.append(f"{n},{fmt_float(v)},{frac_str(v)}")
-    _write(args.csv or args.json, "\n".join(lines) + "\n")
+    _write(args.csv, "\n".join(lines) + "\n")
     return 0
 
 
@@ -479,7 +479,7 @@ def _cmd_catalog(args, cfg: argparse.Namespace) -> int:
 # each command's handler and the flag-only options (no [run] key) it reads;
 # any other flag-only option given is an error
 _COMMANDS = {
-    "norms": (_cmd_norms, ("unnormalized", "csv", "json")),
+    "norms": (_cmd_norms, ("unnormalized", "csv")),
     "radius": (_cmd_radius, ("unnormalized", "json")),
     "polygon": (_cmd_polygon, ("svg", "json")),
     "bounded": (_cmd_bounded, ("log_r", "svg", "json")),
@@ -529,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     only.add_argument("--log-r", help="log R (bounded)")
     only.add_argument("--unnormalized", action="store_true", default=None,
                       help="drop the n! factor (norms, radius)")
-    only.add_argument("--json", help="JSON report path, default stdout (all but pullback)")
+    only.add_argument("--json", help="JSON report path, default stdout (all but norms, pullback)")
     only.add_argument("--csv", help="CSV path (norms)")
     only.add_argument("--svg", help="SVG plot path (polygon, bounded, theorem)")
     only.add_argument("--out", help="module definition path (pullback)")

@@ -148,20 +148,10 @@ class RFMatrix:
         )
 
     def __matmul__(self, other: "RFMatrix") -> "RFMatrix":
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
+        if self.shape[1] != other.shape[0]:
             raise InputError("shape mismatch")
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = RationalFunction.zero()
-                for t in range(k):
-                    acc = acc + self.rows[i][t] * other.rows[t][j]
-                row.append(acc)
-            out.append(row)
-        return RFMatrix(out)
+        cols = tuple(zip(*other.rows))
+        return RFMatrix([[_sum(a * b for a, b in zip(r, c)) for c in cols] for r in self.rows])
 
     def derivative(self) -> "RFMatrix":
         return RFMatrix([[a.derivative() for a in row] for row in self.rows])
@@ -169,42 +159,36 @@ class RFMatrix:
     def reduced(self) -> "RFMatrix":
         return RFMatrix([[a.reduce() for a in row] for row in self.rows])
 
+    def _cofactor(self, i: int, j: int) -> RationalFunction:
+        """(-1)^(i+j) times the determinant of the minor without row i and
+        column j; 1 for a 1x1 matrix, whose minor is empty."""
+        if len(self.rows) == 1:
+            return RationalFunction.one()
+        minor = RFMatrix([r[:j] + r[j + 1 :] for k, r in enumerate(self.rows) if k != i]).det()
+        return -minor if (i + j) % 2 else minor
+
     def det(self) -> RationalFunction:
-        """Determinant by cofactor expansion (ranks here stay tiny)."""
-        n = self.size
-        if n == 1:
+        """Determinant by cofactor expansion along row 0 (ranks here stay tiny)."""
+        if self.size == 1:
             return self.rows[0][0].reduce()
-        if n == 2:
-            (a, b), (c, d) = self.rows
-            return (a * d - b * c).reduce()
-        acc = RationalFunction.zero()
-        for j in range(n):
-            if self.rows[0][j].is_zero:
-                continue
-            minor = RFMatrix([row[:j] + row[j + 1 :] for row in self.rows[1:]])
-            term = self.rows[0][j] * minor.det()
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc.reduce()
+        row = self.rows[0]
+        return _sum(a * self._cofactor(0, j) for j, a in enumerate(row) if not a.is_zero).reduce()
 
     def inverse(self) -> "RFMatrix":
         """Adjugate over determinant; raises InvalidGaugeError when singular."""
         n = self.size
-        d = self.det()
+        cof = [[self._cofactor(i, j) for j in range(n)] for i in range(n)]
+        d = _sum(a * c for a, c in zip(self.rows[0], cof[0]) if not a.is_zero).reduce()
         if d.is_zero:
             raise InvalidGaugeError("singular matrix")
-        if n == 1:
-            return RFMatrix([[RationalFunction.one() / d]])
-        adj = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = RFMatrix(
-                    [row[:j] + row[j + 1 :] for k, row in enumerate(self.rows) if k != i]
-                )
-                cof = minor.det()
-                if (i + j) % 2:
-                    cof = -cof
-                adj[j][i] = (cof / d).reduce()
-        return RFMatrix(adj)
+        return RFMatrix([[(cof[i][j] / d).reduce() for i in range(n)] for j in range(n)])
+
+
+def _sum(terms: Iterable[RationalFunction]) -> RationalFunction:
+    """The sum of ``terms`` from the first on, as a zero start costs a cross
+    multiplication more; zero when there are none."""
+    terms = iter(terms)
+    return sum(terms, next(terms, RationalFunction.zero()))
 
 
 def _as_rf(value) -> RationalFunction:

@@ -82,17 +82,10 @@ class CyclicReduction:
     attempts: int
 
 
-def _row_apply(row: Sequence[RationalFunction], module: DiffModule) -> list[RationalFunction]:
+def _row_apply(row: Sequence[RationalFunction], module: DiffModule) -> Sequence[RationalFunction]:
     """Coordinates of D(w) when w has coordinate row vector ``row``: w' + w G."""
-    g = module.matrix.rows
-    mu = module.rank
-    out = []
-    for j in range(mu):
-        acc = row[j].derivative()
-        for i in range(mu):
-            acc = acc + row[i] * g[i][j]
-        out.append(acc.reduce())
-    return out
+    w = RFMatrix([row])
+    return (w.derivative() + w @ module.matrix).reduced().rows[0]
 
 
 def _candidate_vectors(mu: int, rng: random.Random):
@@ -143,10 +136,7 @@ def cyclic_vector(
         top = _row_apply(rows[-1], module)  # coordinates of D^mu v
         H = K.inverse()
         # solve a K = top, i.e. a = top H; then q_i = -a_(mu-i)
-        a = [
-            sum((top[t] * H.rows[t][j] for t in range(mu)), RationalFunction.zero()).reduce()
-            for j in range(mu)
-        ]
+        a = (RFMatrix([top]) @ H).reduced().rows[0]
         q = tuple((-a[mu - i]).reduce() for i in range(1, mu + 1))
 
         # the zeros and poles of det and the poles of each q_i

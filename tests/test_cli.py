@@ -517,6 +517,7 @@ def case(config, argv, error_type, named, id):
               ("polygon", ["--csv", "norms.csv"], "--csv"),
               ("norms", ["--rho", "0", "--out", "pulled.ini"], "--out"),
               ("pullback", ["--json", "report.json"], "--json"),
+              ("norms", ["--rho", "0", "--csv", "a.csv", "--json", "b.json"], "--json"),
           )),
     ],
 )

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import itertools
 import math
 import random
 import tracemalloc
@@ -8,9 +9,9 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from padicdiff import arith, diffmod
+from padicdiff import arith, diffmod, spectral
 from padicdiff.arith import Interval, Prime, log_abs, min_valuation, padic_valuation, upper_hull
 from padicdiff.catalog import catalog_get
 from padicdiff.diagnostics import bounded_report
@@ -209,6 +210,74 @@ def small_modules(draw):
     return (frobenius_pullback(m, 1) if draw(st.booleans()) else m), general
 
 
+# matrix entries from the pools above; an empty numerator is a zero entry
+rf_entries = st.builds(
+    lambda num, den: RationalFunction(num, P(den).num),
+    laurent_nums,
+    st.one_of(den_factors, st.just("1")),
+)
+
+
+def rf_rows(n, m):
+    return st.lists(st.lists(rf_entries, min_size=m, max_size=m), min_size=n, max_size=n)
+
+
+@st.composite
+def square_matrices(draw):
+    """1x1 to 3x3 matrices, and whether one row repeats another."""
+    n = draw(st.integers(1, 3))
+    rows = draw(rf_rows(n, n))
+    repeated = n > 1 and draw(st.booleans())
+    if repeated:
+        i, k = draw(st.permutations(range(n)))[:2]
+        rows[k] = rows[i]
+    return RFMatrix(rows), repeated
+
+
+def leibniz_det(m):
+    n = m.size
+    total = RationalFunction.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = RationalFunction.constant((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * m.rows[i][j]
+        total = total + term
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=square_matrices())
+def test_det_and_inverse_match_the_leibniz_sum(case):
+    m, repeated = case
+    det = m.det()
+    assert det == leibniz_det(m)
+    if det.is_zero:
+        with pytest.raises(InvalidGaugeError):
+            m.inverse()
+    else:
+        assert not repeated
+        inv = m.inverse()
+        assert m @ inv == RFMatrix.identity(m.size) == inv @ m
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_products_and_the_row_pass_match_explicit_sums(data):
+    """A @ B, any shapes up to 3x3, and spectral's w' + w G, entry by entry
+    against sums that start at zero."""
+    n, k, m = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a, b = RFMatrix(data.draw(rf_rows(n, k))), RFMatrix(data.draw(rf_rows(k, m)))
+    zero = RationalFunction.zero()
+    want = [[sum((a.rows[i][t] * b.rows[t][j] for t in range(k)), zero) for j in range(m)]
+            for i in range(n)]
+    assert a @ b == RFMatrix(want)
+    g = RFMatrix(data.draw(rf_rows(k, k)))
+    row = a.rows[0]
+    want = [sum((row[i] * g.rows[i][j] for i in range(k)), row[j].derivative()) for j in range(k)]
+    assert list(spectral._row_apply(row, DiffModule(P2, g, I01))) == want
+
+
 def test_term_matrix_matches_rfmatrix_recursion():
     strides = []
 
@@ -257,12 +326,15 @@ def check_setup(m):
 
 def test_setup_forms_the_least_common_denominator_and_scale():
     # denominators sharing factors, so their lcm is not their product
-    shared = [["1/(1+x)", "2/(3*(1+x)^2)"], ["x/(3-x^2)", "1/((1+x)*(3-x^2))"]]
-    assert check_setup(DiffModule(P2, RFMatrix.from_strings(shared), I01)) == (True, True)
+    rows = [["1/(1+x)", "2/(3*(1+x)^2)"], ["x/(3-x^2)", "1/((1+x)*(3-x^2))"]]
+    shared = DiffModule(P2, RFMatrix.from_strings(rows), I01)
+    assert check_setup(shared) == (True, True)
     seen = set()
 
+    # the explicit example reaches Q != 1 with d > 1 whatever the random draws
     @settings(max_examples=40, deadline=None)
     @given(case=small_modules())
+    @example((shared, True))
     def check(case):
         seen.add(check_setup(case[0]))
 
@@ -942,12 +1014,31 @@ def entry_the_slow_way(state, factors, Si, j, n, cap):
     return (lo, [coeffs.get(e, 0) for e in range(lo, hi + 1, g)]), dropped
 
 
+class Scripted:
+    """Stands in for ``st.data()`` in an explicit example: each draw returns
+    the next of the given values."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy, label=None):
+        return next(self.values)
+
+
+# a rank-2 module whose window on (1/2, 1) holds entries of 13-16
+# coefficients at depth 12, spanning exponents 20-39, and of 1-3 at depth 1
+ROW_PASS_BASE = DiffModule(P2, RFMatrix.from_strings([["1/(1+2*x)", "x"], ["1", "x^2"]]), I01)
+
+
 def test_the_row_pass_matches_the_entry_by_entry_step():
     """``_rows`` on the windows that runs reach, floored ones included, with
     and without a cap and a slack on one-sided intervals, with neither when
     straddling: every entry's lo and values, and ``_dropped``.  Both kernels
     run, the index loop on sources of at most ``_SHORT`` coefficients and the
-    slice axpy on longer ones, for the terms of d*Q*G and for the Q ramp."""
+    slice axpy on longer ones, for the terms of d*Q*G and for the Q ramp.
+    Two explicit examples reach every one of these cases whatever the random
+    draws: long sources cut at exponent 30 under a zero slack, and short ones
+    uncut."""
     seen = []
 
     @settings(max_examples=150, deadline=None)
@@ -957,6 +1048,8 @@ def test_the_row_pass_matches_the_entry_by_entry_step():
         depth=st.integers(0, 20),
         data=st.data(),
     )
+    @example(ROW_PASS_BASE, Interval(F(1, 2), 1), 12, Scripted(True, 30, True, 0, 0, 0, 0, False))
+    @example(ROW_PASS_BASE, Interval(F(1, 2), 1), 1, Scripted(False, False))
     def check(base, interval, depth, data):
         module = DiffModule(base.p, base.matrix, interval)
         state = gn_sequence(module, depth)
