@@ -137,10 +137,7 @@ def bounded_report(
     argmax = max((n for n, v in enumerate(shifted) if v is not None), key=shifted.__getitem__)
     max_value = values[argmax]
     window = [(float(n), v / common) for n, v in tail_window(shifted, depth)]
-    if len(window) >= 2:
-        tail_slope, _, fit_residual = least_squares_line(window)
-    else:
-        tail_slope, fit_residual = 0.0, 0.0
+    tail_slope, _, fit_residual = least_squares_line(window)
 
     classification = _classify(tail_slope, fit_residual, max_value, tol)
     return BoundednessReport(
@@ -188,23 +185,19 @@ def theorem_check(
     )
     single = one_slope(polygon)
     robba = is_non_robba(polygon)
-    if not (single and robba.non_robba):
-        return TheoremReport(
-            polygon=polygon,
-            one_slope=single,
-            non_robba=robba,
-            reports=(),
-            verdict=VERDICT_HYPOTHESES_FAIL,
+    reports: tuple[BoundednessReport, ...] = ()
+    verdict = VERDICT_HYPOTHESES_FAIL
+    if single and robba.non_robba:
+        reports = tuple(
+            bounded_report(module, rho, depth, polygon.value(rho), tol)
+            for rho in module.interval.interior_grid(grid)
         )
-    reports = []
-    for rho in module.interval.interior_grid(grid):
-        log_r = polygon.value(rho)
-        reports.append(bounded_report(module, rho, depth, log_r, tol))
-    ok = all(r.classification in (BOUNDED_DECAYING, BOUNDED_PLATEAU) for r in reports)
+        ok = all(r.classification in (BOUNDED_DECAYING, BOUNDED_PLATEAU) for r in reports)
+        verdict = VERDICT_VERIFIED if ok else VERDICT_UNCLEAR
     return TheoremReport(
         polygon=polygon,
         one_slope=single,
         non_robba=robba,
-        reports=tuple(reports),
-        verdict=VERDICT_VERIFIED if ok else VERDICT_UNCLEAR,
+        reports=reports,
+        verdict=verdict,
     )

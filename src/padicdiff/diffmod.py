@@ -151,7 +151,12 @@ class RFMatrix:
         if self.shape[1] != other.shape[0]:
             raise InputError("shape mismatch")
         cols = tuple(zip(*other.rows))
-        return RFMatrix([[_sum(a * b for a, b in zip(r, c)) for c in cols] for r in self.rows])
+        return RFMatrix(
+            [
+                [_sum(a * b for a, b in zip(r, c) if not (a.is_zero or b.is_zero)) for c in cols]
+                for r in self.rows
+            ]
+        )
 
     def derivative(self) -> "RFMatrix":
         return RFMatrix([[a.derivative() for a in row] for row in self.rows])
@@ -169,8 +174,7 @@ class RFMatrix:
 
     def det(self) -> RationalFunction:
         """Determinant by cofactor expansion along row 0 (ranks here stay tiny)."""
-        if self.size == 1:
-            return self.rows[0][0].reduce()
+        self.size  # raises when not square
         row = self.rows[0]
         return _sum(a * self._cofactor(0, j) for j, a in enumerate(row) if not a.is_zero).reduce()
 

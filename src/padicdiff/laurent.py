@@ -541,9 +541,24 @@ MAX_POWER_SPAN = 1000
 # ((3+5*x+7*x^2)^40/(2+9*x+8*x^2)^40: 1.1 s) and in up to 4 s at span 100
 MAX_GCD_SPAN = 80
 
+# largest Hadamard bound on the digits of the resultant of a parsed entry's
+# numerator and denominator, both non-monomial: span(num) log10 h(den) +
+# span(den) log10 h(num), with h the coefficient bound of ``_height``.  The
+# pseudo-remainders of ``reduce``'s gcd grow to about that many digits, which
+# the span rule does not see: (1+x)^800/(1+10^50*x) (40,241) took 3 s and two
+# degree-20 polynomials with 1,000-digit coefficients (40,045) 5 s, while
+# (3+5*x+7*x^2)^40/(2+9*x+8*x^2)^40 (7,856) reduces in 1.2 s
+MAX_GCD_DIGITS = 8000
+
 # deepest nesting of parentheses in matrix text; the parser recurses six
 # frames per level, so this stays well inside Python's recursion limit
 MAX_NESTING = 100
+
+
+def _height(f: LaurentPoly) -> int:
+    """max(||c f||_1, c) for a nonzero f, with c clearing its denominators."""
+    c = math.lcm(*(v.denominator for v in f.coeffs.values()))
+    return max(sum(int(abs(v) * c) for v in f.coeffs.values()), c)
 
 
 def _check_size(op: str, factors: Sequence[tuple[LaurentPoly, int]]) -> None:
@@ -559,8 +574,7 @@ def _check_size(op: str, factors: Sequence[tuple[LaurentPoly, int]]) -> None:
     factors = [(f, k) for f, k in factors if not f.is_zero]
     room = float(MAX_DIGITS)
     for f, k in factors:
-        c = math.lcm(*(v.denominator for v in f.coeffs.values()))
-        bound = max(sum(int(abs(v) * c) for v in f.coeffs.values()), c)
+        bound = _height(f)
         if bound > 1:
             if k > room / math.log10(bound):
                 raise ParseError(f"{op}: coefficients would pass {MAX_DIGITS} digits")
@@ -713,10 +727,17 @@ def parse_rational_function(text: str, var: str = "x") -> RationalFunction:
         raise ParseError("empty expression")
     out = _Parser(_tokenize(text), var).parse()
     if len(out.num) > 1 and len(out.den) > 1:
-        if min(f.support[-1] - f.support[0] for f in (out.num, out.den)) > MAX_GCD_SPAN:
+        num_span, den_span = (f.support[-1] - f.support[0] for f in (out.num, out.den))
+        if min(num_span, den_span) > MAX_GCD_SPAN:
             raise ParseError(
                 f"numerator and denominator both span more than {MAX_GCD_SPAN}:"
                 " too large to reduce"
+            )
+        digits = num_span * math.log10(_height(out.den)) + den_span * math.log10(_height(out.num))
+        if digits > MAX_GCD_DIGITS:
+            raise ParseError(
+                f"reducing numerator and denominator may take integers of {digits:.0f}"
+                f" digits, more than {MAX_GCD_DIGITS}: too large to reduce"
             )
     return out
 

@@ -15,6 +15,7 @@ rationals via continued-fraction approximation.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -252,12 +253,11 @@ def polygon_estimate(
     # an interior hull piece spanning a single grid gap (both members shared
     # with its neighbours) is a chord across an unresolved breakpoint, not a
     # segment: drop it and let the neighbours meet at their intersection
-    if len(raw_pieces) >= 3:
-        raw_pieces = [
-            piece
-            for k, piece in enumerate(raw_pieces)
-            if not (0 < k < len(raw_pieces) - 1 and len(piece[1]) == 2)
-        ]
+    raw_pieces = [
+        piece
+        for k, piece in enumerate(raw_pieces)
+        if not (0 < k < len(raw_pieces) - 1 and len(piece[1]) == 2)
+    ]
 
     # snap slopes, merge equal neighbours pooling their samples
     merged: list[tuple[Fraction, Fraction, list[tuple[Fraction, Fraction]]]] = []
@@ -272,11 +272,7 @@ def polygon_estimate(
     # then snap it with the same denominator bound as the slope
     lines = []
     for slope, raw_slope, members in merged:
-        offsets = sorted(y - slope * x for x, y in members)
-        mid = len(offsets) // 2
-        raw_intercept = (
-            offsets[mid] if len(offsets) % 2 else (offsets[mid - 1] + offsets[mid]) / 2
-        )
+        raw_intercept = statistics.median(y - slope * x for x, y in members)
         intercept = raw_intercept.limit_denominator(max_denominator)
         lines.append((slope, intercept, raw_slope, raw_intercept))
 
@@ -307,25 +303,16 @@ def is_non_robba(polygon: ConvergencePolygon) -> NonRobbaResult:
 
     The margin rho - log R is piecewise linear, so it suffices to check the
     interval endpoints and the breakpoints; the reported margin is the
-    infimum over the closed interval.  A zero margin attained only at an
-    open endpoint (with the margin not identically zero on the adjacent
-    segment) still qualifies: the inequality is strict inside.
+    infimum over the closed interval.  The margin is convex (the polygon's
+    slopes strictly decrease), so a least margin of 0 is attained exactly on
+    the span of its zero vertices: the inequality is strict inside the
+    interval iff that span is a single endpoint.
     """
     vertices = [polygon.interval.lo, *polygon.breakpoints, polygon.interval.hi]
     margins = [(rho - polygon.value(rho), rho) for rho in vertices]
     margin, witness = min(margins, key=lambda t: t[0])
-    if margin > 0:
-        flag = True
-    elif margin < 0:
-        flag = False
-    else:
-        interior_zero = any(
-            m == 0 for m, rho in margins[1:-1]
-        )
-        flat_zero = any(
-            seg.slope == 1 and seg.intercept == 0 for seg in polygon.segments
-        )
-        flag = not (interior_zero or flat_zero)
+    zeros = [rho for m, rho in margins if m == 0]
+    flag = margin > 0 or (margin == 0 and zeros in ([vertices[0]], [vertices[-1]]))
     return NonRobbaResult(non_robba=flag, margin=margin, witness=witness)
 
 
@@ -387,14 +374,11 @@ def frobenius_radius_check(
             f"h = {h}: a grid rho of the pulled interval has more than {MAX_DIGITS} digits"
         )
     points = []
-    residuals = []
     for rho in rhos:
         est_m = radius_estimate(pulled, rho, depth)
         est_n = radius_estimate(base_module, scale * rho, depth)
         ok = est_m.tail_min > rho + threshold_shift
         residual = abs(float(scale * est_m.tail_min - est_n.tail_min)) if ok else None
-        if residual is not None:
-            residuals.append(residual)
         points.append(
             FrobeniusPoint(
                 rho=rho,
@@ -404,6 +388,7 @@ def frobenius_radius_check(
                 residual=residual,
             )
         )
+    residuals = [pt.residual for pt in points if pt.hypothesis_ok]
     if not residuals:
         raise HypothesisViolationError(
             "every grid point fails the ramification hypothesis"

@@ -143,8 +143,6 @@ def cyclic_vector(
         cut_points = {s for s, _ in newton_root_logmags(det.reduce().num, p)}
         cut_points.update(s for f in (det, *q) for s in pole_logmags(f, p))
         valid = tuple(module.interval.remove_points(cut_points))
-        if not valid:
-            continue
 
         operator = ScalarOperator(p, q, module.interval)
         companion = operator.companion_module().matrix

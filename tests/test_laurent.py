@@ -360,9 +360,12 @@ def test_power_size_is_predicted_before_expanding():
     assert P("x^3000*(1+x)") == RationalFunction(LaurentPoly({3000: 1, 3001: 1}))
     assert P("7*(1+x^2000)") == RationalFunction(LaurentPoly({0: 7, 2000: 7}))
     assert P("(1+x)^600*(1+x)^400").num.coeff(500) == math.comb(1000, 500)
-    # an entry whose gcd needs no long run: one side monomial or spanning at most 80
+    # an entry whose gcd needs no long run: one side monomial, or the narrower
+    # spanning at most 80 with a gcd of integers of at most 8,000 digits
     assert P("(x^19999+1)/(x+1)").reduce().num.coeff(19998) == 1
     assert P("(1+x)^80/(1+2*x)^80").reduce().den.coeff(80) == 2**80
+    assert P("(1+x)^1000/(2+x)").reduce().den == LaurentPoly({0: 2, 1: 1})
+    assert P("(3+5*x+7*x^2)^40/(2+9*x+8*x^2)^40").den.coeff(80) == 8**40
     assert P("1/(1+x) + 1/(1+2*x)") == P("(2+3*x)/((1+x)*(1+2*x))")
     for bad, named in (
         ("(1/3)^10000", "4300 digits"),
@@ -377,9 +380,19 @@ def test_power_size_is_predicted_before_expanding():
         ("(1+x)^600/(1+2*x) + 1/(1+3*x)^401", "sum: exponents would span more than 1000"),
         ("(1+x)^81/(1+2*x)^81", "both span more than 80"),
         ("1/(1+x)^81 + 1/(1+3*x)", "both span more than 80"),
+        ("(1+x)^400/(1+10^200*x)", "80120 digits, more than 8000"),
+        ("(1+x)^800/(1+10^50*x)", "40241 digits, more than 8000"),
     ):
         with pytest.raises(ParseError, match=named):
             parse_rational_function(bad)
+    # two random degree-20 polynomials with 1,000-digit coefficients (5 s to
+    # reduce) are refused at once
+    rng = random.Random(7)
+    num, den = (
+        "+".join(f"{rng.randrange(10**999, 10**1000)}*x^{e}" for e in range(21)) for _ in "nd"
+    )
+    with pytest.raises(ParseError, match="too large to reduce"):
+        parse_rational_function(f"({num})/({den})")
 
 
 def test_poly_to_str_formats():

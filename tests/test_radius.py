@@ -167,6 +167,49 @@ def test_non_robba_negative_margin():
     assert res.margin == F(-1, 4) and res.witness == 0
 
 
+_HALVES = st.integers(-6, 6).map(lambda k: F(k, 2))
+
+
+@given(
+    lines=st.lists(
+        st.tuples(st.integers(-2, 3).map(F), _HALVES), min_size=1, max_size=4,
+        unique_by=lambda line: line[0],
+    ),
+    lo=_HALVES,
+    width=st.integers(1, 8).map(lambda k: F(k, 2)),
+)
+# one example per class: margin > 0; margin 0 at one end only (non-Robba);
+# margin 0 on the identity cell and at an interior vertex (Robba); margin < 0
+# with its one zero vertex at an end, which a rule that read a zero at an end
+# alone as non-Robba would pass
+@example(lines=[(F(0), F(-1))], lo=F(0), width=F(2))
+@example(lines=[(F(0), F(0))], lo=F(0), width=F(2))
+@example(lines=[(F(1), F(0))], lo=F(0), width=F(2))
+@example(lines=[(F(2), F(0)), (F(0), F(0))], lo=F(-1), width=F(2))
+@example(lines=[(F(2), F(0))], lo=F(0), width=F(2))
+def test_non_robba_matches_the_margin_inside_the_interval(lines, lo, width):
+    interval = Interval(lo, lo + width)
+    lines = sorted(lines, reverse=True)  # slopes strictly decrease
+    segments = tuple(
+        PolygonSegment(a, b, s, c, s, c) for a, b, (s, c) in lower_envelope(lines, interval)
+    )
+    poly = ConvergencePolygon(interval, segments, (), 0.0, False)
+    res = is_non_robba(poly)
+    # rho - log R > 0 on the open interval: > 0 at every interior vertex,
+    # >= 0 at both ends, and > 0 inside every cell, where it is linear
+    vertices = [interval.lo, *poly.breakpoints, interval.hi]
+    margins = [rho - poly.value(rho) for rho in vertices]
+    mids = [(seg.lo + seg.hi) / 2 for seg in segments]
+    expected = (
+        all(m > 0 for m in margins[1:-1])
+        and min(margins[0], margins[-1]) >= 0
+        and all(rho > poly.value(rho) for rho in mids)
+    )
+    assert res.non_robba == expected
+    least = min(margins)
+    assert (res.margin, res.witness) == (least, vertices[margins.index(least)])
+
+
 def test_least_squares_line_degenerate_inputs():
     assert least_squares_line([]) == (0.0, 0.0, 0.0)
     assert least_squares_line([(3.0, 2.5)]) == (0.0, 2.5, 0.0)
