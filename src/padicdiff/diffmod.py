@@ -39,6 +39,7 @@ from .arith import (
 )
 from .errors import BudgetExceededError, DomainError, InputError, InvalidGaugeError
 from .laurent import (
+    _ONE,
     LaurentPoly,
     RationalFunction,
     _coerce,
@@ -65,8 +66,6 @@ DEFAULT_COEFF_BUDGET = 5_000_000
 # the valuation bound of a zero column (or of a zero multiplier): above any
 # valuation a coefficient can have
 _NEVER = 1 << 62
-# the coefficient dict of the polynomial 1
-_ONE = {0: 1}
 # a step adds a source entry of at most this many coefficients with an index
 # loop, a longer one with a slice axpy (see ``RecursionState``)
 _SHORT = 8
@@ -252,8 +251,9 @@ class DiffModule:
 
 
 class _Coeffs(list):
-    """One entry of S_n: the coefficients of x^(lo + g*k), k = 0, 1, ..., on
-    the state's stride g, first and last nonzero (or empty)."""
+    """One entry of S_n: the coefficients at the stored exponents lo + g*k,
+    k = 0, 1, ..., on the state's stride g, first and last nonzero (or
+    empty)."""
 
     __slots__ = ("lo",)
 
@@ -280,7 +280,7 @@ class RecursionState:
     modulo the stride g, the gcd of their differences (g = p for a
     ramification pullback, usually 1 otherwise).  So every exponent of S_n
     lies in one residue class mod g, and each entry is stored densely on it:
-    a ``_Coeffs`` list of the coefficients of x^(lo + g*k).  An entry of
+    a ``_Coeffs`` list of the coefficients of x^(sign*(lo + g*k)).  An entry of
     S_{n+1} is one zeroed list, into which each term of the short factors
     d*Q*G[t][j] and Q adds the source entry it multiplies; the Q term folds
     S' and Q' into one multiplier per coefficient, d*v*(e - n*f) for the
@@ -292,7 +292,11 @@ class RecursionState:
     rows in one pass (``_rows``), which reads for each entry j the source
     list that the constructor plans once: the nonzero d*Q*G[t][j], each with
     its least and largest shift, which size the list; the same pass cuts and
-    trims it.
+    trims it.  The sign is -1 when the interval has hi <= 0, and 1
+    otherwise: such a state stores each exponent e as -e, so that its
+    ceiling is a floor and every one-sided interval runs one code path.
+    Exponents, shifts and hulls below are the stored ones, which only
+    ``log_norms`` and ``term_matrix`` map back.
 
     A companion matrix (rows 0..mu-2 are e_1, ..., e_(mu-1)) is the system
     of X = (u, u', ..., u^(mu-1)), so X_i = X_0^(i): every row of G_n follows
@@ -312,12 +316,12 @@ class RecursionState:
     builds its hull at once, as every norm query reads every m anyway,
     valuing a column (the coefficients of one exponent) with one
     ``arith.min_valuation`` gcd.  While S_m has a column of valuation 0, the
-    walk reads columns from the right end to the last such column e0 when
-    the closed interval reaches rho > 0, and from the left end to the first
-    one when it reaches rho < 0 (both, each column once, when it reaches
-    both; ``_walk`` reads every one of these walks): for rho >= 0 a column
-    e < e0 has -v + e*rho <= e0*rho, and mirrored for rho <= 0, so the
-    hull is exact on the interval, the only rho that ``log_norms`` accepts.
+    walk reads columns from the right end to the last such column e0, after
+    a walk from the left end to the first one when the interval straddles 0
+    (each column once; ``_walk`` reads every one of these walks): a column
+    e < e0 has -v + e*sign*rho <= e0*sign*rho for sign*rho >= 0, and
+    mirrored for sign*rho <= 0, so the hull is exact on the interval, the
+    only rho that ``log_norms`` accepts.
     The content c of S_m, its least valuation, is -max y over its hull.
     Once c > 0, as on a ramification pullback whose d*Q*G terms all carry
     p^h, that stop never fires, and no column of S_(m+1), an integer
@@ -334,10 +338,10 @@ class RecursionState:
     step.  The hull stays exact: a true vertex lies strictly above the hull
     of the other points, so its bound point does too.
 
-    On an interval with lo >= 0 no column below e0 is read, so each entry j
-    of S_m is kept only at exponents >= its own floor U_m[j] - reach, U_m[j]
-    a bound on its exponents (mirrored for hi <= 0: a ceiling over a least
-    exponent), s_max and s_min the largest and least shifts of a step.  The
+    On a one-sided interval no column below e0 is read, so each entry j of
+    S_m is kept only at exponents >= its own floor U_m[j] - reach, U_m[j] a
+    bound on its exponents, s_max and s_min the largest and least shifts of
+    a step; like every exponent and shift here, these are stored ones.  The
     state keeps the slack m*s_max - U_m[j] of each entry: 0 on the diagonal
     of S_0 = I, and at step m + 1 the least over the sources t of entry j,
     those with a term of d*Q*G[t][j] and j itself for Q, of the slack of t
@@ -379,6 +383,10 @@ class RecursionState:
     """
 
     def __init__(self, module: DiffModule):
+        # every field is set here, and there are fewer than 30: under CPython
+        # 3.11 an instance with a 30th keeps its fields in a dict of its own,
+        # not in the class's shared layout, and each field load is about a
+        # quarter slower
         self.p = module.p
         self.rank = module.rank
         self.interval = module.interval
@@ -389,11 +397,14 @@ class RecursionState:
         # Q*G, whose coefficient denominators d clears; Q's coefficients are integers
         qg = [[e.num * exact_quotient(self.Q, e.den) for e in row] for row in reduced]
         self.d = d = math.lcm(*(v.denominator for r in qg for f in r for v in f.coeffs.values()))
-        # the terms of the short factors, in increasing shift order: (shift,
-        # coefficient) of d*Q*G[t][j], and (f - 1, d*v, d*f*v) of v*x^f in Q
-        pt = [[sorted((e, int(v * d)) for e, v in f.coeffs.items()) for f in row] for row in qg]
-        q_terms = sorted((f, int(v)) for f, v in self.Q.coeffs.items())
-        self._qterms = tuple((f - 1, d * v, d * f * v) for f, v in q_terms)
+        # exponents are stored as sign*e, negated when hi <= 0 (see the docstring)
+        self._sign = sign = -1 if self.interval.hi <= 0 else 1
+        # the terms of the short factors, in increasing stored shift order:
+        # (shift, coefficient) of d*Q*G[t][j], and (sign*(f - 1), sign*d*v,
+        # d*f*v) of v*x^f in Q, as d*v*(e - m*f) = sign*d*v*(sign*e) - m*d*f*v
+        pt = [[sorted((sign * e, int(v * d)) for e, v in f.coeffs.items()) for f in r] for r in qg]
+        q_terms = ((f, int(v)) for f, v in self.Q.coeffs.items())
+        self._qterms = tuple(sorted((sign * (f - 1), sign * d * v, d * f * v) for f, v in q_terms))
         # what entry j of a row of S_(m+1) reads, planned once for ``_rows``:
         # (t, terms, least shift, largest shift) of each nonzero d*Q*G[t][j]
         self._parts = tuple(
@@ -406,7 +417,7 @@ class RecursionState:
         # for the carried valuation bound (``_carried_bound``), each term's
         # offset (s - least shift) / g: (offset, least v_p of a coefficient)
         # over the terms of d*Q*G, and (offset, d*v, d*f*v) over those of Q
-        self._least_shift = least = min(shifts)
+        least = min(shifts)
         self._spread = (max(shifts) - least) // self._g
         weights: dict[int, int] = {}
         for row in pt:
@@ -442,12 +453,11 @@ class RecursionState:
         self._n_minus_sp = [0]
         self._vp_d = padic_valuation(d, self.p)
 
-        # the floors (lo >= 0, side 1) or ceilings (hi <= 0, side -1) of a
-        # one-sided interval: entry j of S_m keeps the exponents e with
-        # side*(m*out - e) <= reach + its slack, out the outermost shift (see
-        # the docstring)
-        self._side = side = 1 if self.interval.lo >= 0 else -1 if self.interval.hi <= 0 else 0
-        self._out = max(shifts) if side > 0 else least
+        # the floors of a one-sided interval: entry j of S_m keeps the stored
+        # exponents e with m*out - e <= reach + its slack, out the largest
+        # shift (see the docstring)
+        self._side = side = 1 if self.interval.lo >= 0 or self.interval.hi <= 0 else 0
+        self._out = out = max(shifts)
         # no floor when straddling 0; the step loop takes it away once S_m has positive content
         self._reach: Optional[int] = 0 if side else None
         # the slack of each entry of S_0 and of the newest step if kept, and the least
@@ -455,22 +465,20 @@ class RecursionState:
         self._least = 0
         if side:
             # the sources of entry j, the terms of d*Q*G[t][j] and those of Q
-            # on entry j itself, as (t, side*(out - s)) for the outermost shift s
-            out, o = self._out, -1 if side > 0 else 0
+            # on entry j itself, as (t, out - s) for the largest shift s
             self._sources = [
-                [(t, side * (out - (s_hi if side > 0 else s_lo))) for t, _, s_lo, s_hi in parts]
-                + [(j, side * (out - self._qterms[o][0]))]
+                [(t, out - s_hi) for t, _, _, s_hi in parts] + [(j, out - self._qterms[-1][0])]
                 for j, parts in enumerate(self._parts)
             ]
             # the slack of S_0 = I: 0 on its diagonal, _NEVER for a zero entry;
-            # none is kept if a diagonal entry feeds itself at the outermost
+            # none is kept if a diagonal entry feeds itself at the largest
             # shift, as one floor then serves every entry (see the docstring)
             slack = [[0 if c else _NEVER for c in row] for row in self._start]
             loops = [j for j, src in enumerate(self._sources) if (j, 0) in src]
             self._start_slack = None if any(not row[j] for row in slack for j in loops) else slack
             self._slack = self._start_slack
-        # side*(m*out - e0) less the least slack, the inward distance of e0
-        # from its bound, for each step m whose walk found it
+        # m*out - e0 less the least slack, the inward distance of e0 from its
+        # bound, for each step m whose walk found it
         self._inward: dict[int, int] = {0: 0}
         # whether a floor has dropped a nonzero coefficient since S_0: until
         # then the window is the floorless one
@@ -505,14 +513,14 @@ class RecursionState:
             if content:
                 self._reach = None
             window = self._S[-1]
-            # the floor (side 1) or ceiling (side -1) of step m + 1, moved in
-            # by each entry's slack if the slack is kept
+            # the floor of step m + 1, moved in by each entry's slack if the
+            # slack is kept
             cap = slack = None
             if self._reach is not None:
                 if self._slack is not None:
                     self._slack = self._next_slack()
                     self._least = min(map(min, self._slack))
-                cap, slack = (m + 1) * self._out - self._side * self._reach, self._slack
+                cap, slack = (m + 1) * self._out - self._reach, self._slack
             new_rows = self._rows(window, m, cap, slack)
             entries = [c for row in new_rows for c in row if c]
             self._coeff_count += sum(len(c) - c.count(0) for c in entries)
@@ -539,7 +547,7 @@ class RecursionState:
         """The hull of S_(m+1) from its nonzero entries, given the content of
         S_m; None on a miss, a one-sided walk that finds no column of
         valuation 0 once a floor has dropped a nonzero coefficient."""
-        g, p, side = self._g, self.p, self._side
+        g, p = self._g, self.p
         lo = min([c.lo for c in entries], default=0)
         size = (max([c.lo + g * len(c) for c in entries]) - lo) // g if entries else 0
         # each entry with the range [a, b) of the k it covers
@@ -548,31 +556,26 @@ class RecursionState:
             bound = self._carried_bound(m, lo, size) if self._bound else [content] * size
             self._bound = (lo, bound)
             return _refined_hull(spans, lo, bound, g, p)
-        if not side:
-            # from the left end to the first column of valuation 0, then from
-            # the right end to the last, so no column is valued twice
-            found = _walk(spans, lo, g, range(size), p)
-            stop = (found[-1][0] - lo) // g if found else -1
-            return upper_hull(found + _walk(spans, lo, g, range(size - 1, stop, -1), p)[::-1])
-        # from the outer end inwards to the first column of valuation 0, e0;
-        # once a floor has dropped one, only on the columns past the highest
-        # floor (the lowest ceiling), where no entry is cut
-        ks = range(size)
-        if self._dropped:
-            # the k that ``_rows`` keeps under that floor
-            top = (m + 1) * self._out - side * (self._reach + self._least)
-            if side > 0:
-                ks = range(max(0, -((lo - top) // g)), size)
-            else:
-                ks = range(min(size, (top - lo) // g + 1))
-        found = _walk(spans, lo, g, ks[::-side], p)
-        if found and found[-1][1] == 0:
-            self._inward[m + 1] = side * ((m + 1) * self._out - found[-1][0]) - self._least
+        # from the right end leftwards to the last column of valuation 0,
+        # e0, but not past a stop: when straddling, the column where a first
+        # walk from the left end ended, so that no column is valued twice;
+        # once a floor has dropped a nonzero coefficient, the highest floor,
+        # past which no entry is cut
+        left, stop = [], -1
+        if not self._side:
+            left = _walk(spans, lo, g, range(size), p)
+            stop = (left[-1][0] - lo) // g if left else -1
         elif self._dropped:
-            # a miss: e0 can lie past the floor
+            # the k below the least that ``_rows`` keeps under that floor,
+            # (m + 1)*out - reach - least slack
+            stop = max(-1, ((m + 1) * self._out - self._reach - self._least - lo - 1) // g)
+        found = _walk(spans, lo, g, range(size - 1, stop, -1), p)
+        if self._side and found and found[-1][1] == 0:
+            self._inward[m + 1] = (m + 1) * self._out - found[-1][0] - self._least
+        elif self._dropped:
+            # a miss: e0 can lie past the floor (only a one-sided state drops one)
             return None
-        # in increasing exponent order: the walk went leftwards for side 1
-        return upper_hull(found[::-1] if side > 0 else found)
+        return upper_hull(left + found[::-1])
 
     def _rows(
         self, window, m: int, cap: Optional[int], slack=None
@@ -581,9 +584,9 @@ class RecursionState:
         newest rows of the window of S_m, in one pass over their entries.
         Entry (i, j) is sum_t S[i][t]*(d*Q*G[t][j]) + d*(Q*S[i][j]' - m*S[i][j]*Q'),
         computed whole, then cut at ``cap`` if one is given, moved in by
-        slack[i][j] if a slack is given: its exponents below the cap (side 1)
-        or above it (side -1) are dropped, and so are its zero ends."""
-        g, side, qterms = self._g, self._side, self._qterms
+        slack[i][j] if a slack is given: its stored exponents below the cap
+        are dropped, and so are its zero ends."""
+        g, qterms = self._g, self._qterms
         q_lo, q_hi = qterms[0][0], qterms[-1][0]
         dropped = self._dropped
         rows = []
@@ -637,17 +640,13 @@ class RecursionState:
                         at = slice(k, k + size)
                         ramp = range(r, r + dr * size, dr)
                         acc[at] = [x + c * y for x, c, y in zip(acc[at], ramp, bq)]
-                # keep acc[k0:k1]: the exponents lo + g*k >= the cap (side 1)
-                # or <= it (side -1), without the zero ends
+                # keep acc[k0:k1]: the exponents lo + g*k >= the cap, without
+                # the zero ends
                 k0, k1 = 0, len(acc)
                 if cap is not None:
-                    c = cap if slack is None else cap - side * slack[i][j]
-                    if side > 0:
-                        k0 = min(max(0, -((lo - c) // g)), k1)
-                        dropped = dropped or any(acc[:k0])
-                    else:
-                        k1 = max(0, min((c - lo) // g + 1, k1))
-                        dropped = dropped or any(acc[k1:])
+                    c = cap if slack is None else cap - slack[i][j]
+                    k0 = min(max(0, -((lo - c) // g)), k1)
+                    dropped = dropped or any(acc[:k0])
                 while k0 < k1 and not acc[k0]:
                     k0 += 1
                 while k0 < k1 and not acc[k1 - 1]:
@@ -668,8 +667,8 @@ class RecursionState:
 
     def _next_slack(self) -> list[list[int]]:
         """The slack of the next step: for each entry, the least over its
-        sources t of the slack of t plus side*(out - s), s the source's
-        outermost shift."""
+        sources t of the slack of t plus out - s, s the source's largest
+        shift."""
         return [[min([e[t] + d for t, d in src]) for src in self._sources] for e in self._slack]
 
     def _planned(self, target: int, miss: Optional[tuple[int, int]] = None) -> int:
@@ -694,9 +693,9 @@ class RecursionState:
         """A lower bound on v_p of the columns lo + g*k, k < size, of S_(m+1):
         the min over the step's terms of the bound at the source column plus
         a weight, the least v_p of a d*Q*G term's coefficients at its shift,
-        or, for a Q term, v_p(gcd(a, b)) for its ramp a + b*k = d*v*(e' - m*f)
-        over the source exponents e' = blo + g*k, which no value of the ramp
-        falls below."""
+        or, for a Q term, v_p(gcd(a, b)) for its ramp a + b*k = d*v*(e - m*f)
+        over the source exponents e = sign*(blo + g*k), which no value of the
+        ramp falls below."""
         g, p = self._g, self.p
         blo, bound = self._bound
         n = len(bound)
@@ -708,7 +707,8 @@ class RecursionState:
         out = [_NEVER] * (n + self._spread)
         for o, w in weights:
             out[o : o + n] = [x if x <= y + w else y + w for x, y in zip(out[o : o + n], bound)]
-        a = (lo - blo - self._least_shift) // g
+        # the least shift is the largest, out, less g*spread
+        a = (lo - blo - self._out) // g + self._spread
         return out[a : a + size]
 
     # -- exact view of the current step ----------------------------------------
@@ -722,7 +722,7 @@ class RecursionState:
         n = self.depth if n is None else n
         if not 0 <= n <= self.depth:
             raise InputError(f"n = {n}: term_matrix needs 0 <= n <= depth = {self.depth}")
-        g, per_step = self._g, self.rank // self._lag
+        g, sign, per_step = self._g, self._sign, self.rank // self._lag
         window = self._start
         for m in range(n + self._lag - 1):
             window = (window + self._rows(window, m, None))[-self.rank :]
@@ -730,7 +730,7 @@ class RecursionState:
         for i, row in enumerate(window):
             m = n + i // per_step
             den = self.Q**m * self.d**m
-            polys = (LaurentPoly({c.lo + g * t: v for t, v in enumerate(c)}) for c in row)
+            polys = (LaurentPoly({sign * (c.lo + g * t): v for t, v in enumerate(c)}) for c in row)
             rows.append([RationalFunction(pe, den) for pe in polys])
         return RFMatrix(rows)
 
@@ -753,9 +753,9 @@ class RecursionState:
         if not self.interval.contains(rho, closed=True):
             raise DomainError(f"rho={rho} outside the closed interval {self.interval}")
         self.extend(depth)
-        a, b = rho.numerator, rho.denominator
+        a, b = self._sign * rho.numerator, rho.denominator
         # ||G_n|| = ||S_n|| * |d|^-n / ||Q||^n, and ||S_n|| = max over hull
-        # vertices of (y + e*rho) = max(b*y + a*e) / b; log_p |n!| is
+        # vertices of (y + sign*e*rho) = max(b*y + a*e) / b; log_p |n!| is
         # -(n - s_p(n)) / (p - 1).  All three go over one denominator.
         shift = self._vp_d - self.Q.gauss_norm(rho, self.p)
         p1 = self.p.p - 1

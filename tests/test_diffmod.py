@@ -469,15 +469,21 @@ def test_extending_in_two_calls_matches_one_call():
 
 def exact_hull(state):
     """The newest step's hull the slow way: ``upper_hull`` over every nonzero
-    column of the rows computed at that step, each valued by ``min_valuation``."""
+    column of the rows computed at that step, each valued by ``min_valuation``,
+    in the actual exponents of x."""
     columns = {}
     for row in state._S[-1][-(state.rank // state._lag):]:
         for c in row:
             for k, v in enumerate(c):
-                columns.setdefault(c.lo + state._g * k, []).append(v)
+                columns.setdefault(state._sign * (c.lo + state._g * k), []).append(v)
     return upper_hull(
         [(e, -min_valuation(vs, state.p)) for e, vs in sorted(columns.items()) if any(vs)]
     )
+
+
+def actual_hull(state, hull):
+    """A hull the state built on its stored exponents, in those of x."""
+    return sorted((state._sign * e, y) for e, y in hull)
 
 
 def visible_hull(hull, interval):
@@ -501,7 +507,8 @@ def assert_every_hull_exact(m, depth):
     any hull reached."""
     for n in range(depth + 1):
         state = gn_sequence(m, n)
-        assert state._hulls[-1] == visible_hull(exact_hull(state), m.interval), n
+        got = actual_hull(state, state._hulls[-1])
+        assert got == visible_hull(exact_hull(state), m.interval), n
     return state._bound is not None, max(-y for hull in state._hulls for _, y in hull)
 
 
@@ -851,7 +858,7 @@ def test_one_sided_hulls_match_the_slow_path(base, interval, t):
     terms = []
     for n in range(depth + 1):
         state = gn_sequence(m, n)
-        assert state._hulls[-1] == visible_hull(exact_hull(state), interval), n
+        assert actual_hull(state, state._hulls[-1]) == visible_hull(exact_hull(state), interval), n
         terms.append(state.term_matrix())
     for rho in (interval.lo, interval.hi, interval.lo + t * interval.width):
         for include_factorial in (True, False):
@@ -871,10 +878,9 @@ def floorless(m, depth):
 
 def window_cut(state):
     """Whether the newest window, that of step m, can lack a nonzero column:
-    the exponents of S_m lie in [m*s_min, m*s_max], as S_0 = I sits at
-    exponent 0, so the floors, the highest m*s_max - reach - least slack
-    (mirrored for the ceilings), can cut it only when m*(s_max - s_min) >
-    reach + least slack."""
+    the stored exponents of S_m lie in [m*s_min, m*s_max], as S_0 = I sits
+    at exponent 0, so the floors, the highest m*s_max - reach - least slack,
+    can cut it only when m*(s_max - s_min) > reach + least slack."""
     m = len(state._hulls) - 1
     return state._reach is not None and m * state._g * state._spread > state._reach + state._least
 
@@ -985,26 +991,27 @@ def short_factors(m, state):
 def entry_the_slow_way(state, factors, Si, j, n, cap):
     """Entry (i, j) of S_(n+1) from row i of S_n, one coefficient at a time:
     sum_t S[i][t]*(d*Q*G[t][j]) + d*(Q*S[i][j]' - n*S[i][j]*Q') as a dict by
-    exponent, without the exponents below ``cap`` (side 1) or above it
-    (side -1) if one is given.  Returns (lo, coefficients from lo on the
-    stride, first and last nonzero) and whether the cut dropped a nonzero
-    coefficient; (0, []) for a zero entry."""
-    g, d = state._g, state.d
+    the actual exponent of x, then by the stored one, without the stored
+    exponents below ``cap`` if one is given.  Returns (lo, coefficients from
+    lo on the stride, first and last nonzero) and whether the cut dropped a
+    nonzero coefficient; (0, []) for a zero entry."""
+    g, d, sign = state._g, state.d, state._sign
     coeffs = {}
     for t, row in enumerate(factors):
         for s, v in row[j].items():
             for k, y in enumerate(Si[t]):
-                e = Si[t].lo + g * k + s
+                e = sign * (Si[t].lo + g * k) + s
                 coeffs[e] = coeffs.get(e, 0) + v * y
     # each term v*x^f of Q takes the coefficient y of x^e to x^(e + f - 1),
     # times d*v*e from Q*S' and -n*d*v*f from n*S*Q'
     for f, v in state.Q.coeffs.items():
         for k, y in enumerate(Si[j]):
-            e = Si[j].lo + g * k
+            e = sign * (Si[j].lo + g * k)
             coeffs[e + f - 1] = coeffs.get(e + f - 1, 0) + int(d * v) * (e - n * f) * y
+    coeffs = {sign * e: v for e, v in coeffs.items()}
     dropped = False
     if cap is not None:
-        kept = {e: v for e, v in coeffs.items() if (e >= cap if state._side > 0 else e <= cap)}
+        kept = {e: v for e, v in coeffs.items() if e >= cap}
         dropped = any(v for e, v in coeffs.items() if e not in kept)
         coeffs = kept
     nonzero = [e for e, v in coeffs.items() if v]
@@ -1070,7 +1077,7 @@ def test_the_row_pass_matches_the_entry_by_entry_step():
         dropped = before
         for i, Si in enumerate(rows):
             for j in range(state.rank):
-                c = cap if slack is None else cap - state._side * slack[i][j]
+                c = cap if slack is None else cap - slack[i][j]
                 want, drop = entry_the_slow_way(state, factors, Si, j, m, c)
                 assert (got[i][j].lo, list(got[i][j])) == want, (i, j)
                 dropped = dropped or drop
@@ -1254,7 +1261,16 @@ def test_the_margin_does_not_grow_with_the_depth(monkeypatch):
     assert not restarts and state._reach == 2 and state._coeff_count < 10_000
 
 
-@pytest.mark.parametrize("module", [deep_rank3_module, wide_module], ids=["companion", "rank-2"])
+@pytest.mark.parametrize(
+    "module",
+    [
+        deep_rank3_module,
+        wide_module,
+        # stored mirrored, as its interval lies left of 0
+        lambda: DiffModule(Prime(3), deep_rank3_module().matrix, Interval(-1, F(-1, 2))),
+    ],
+    ids=["companion", "rank-2", "ceiling"],
+)
 def test_term_matrix_rebuilds_any_step(module):
     m = module()
     state = gn_sequence(m, 12)
