@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 from .arith import (
@@ -179,12 +180,22 @@ class RFMatrix:
 
     def inverse(self) -> "RFMatrix":
         """Adjugate over determinant; raises InvalidGaugeError when singular."""
+        inv = self._det_inverse()[1]
+        if inv is None:
+            raise InvalidGaugeError("singular matrix")
+        return inv
+
+    def _det_inverse(self) -> tuple[RationalFunction, Optional["RFMatrix"]]:
+        """The determinant, as ``det`` expands it, and the inverse, the
+        transposed cofactors over it, or None when it is zero: the cofactors
+        of row 0 serve both, and a singular matrix costs no others."""
         n = self.size
-        cof = [[self._cofactor(i, j) for j in range(n)] for i in range(n)]
+        cof = [[self._cofactor(0, j) for j in range(n)]]
         d = _sum(a * c for a, c in zip(self.rows[0], cof[0]) if not a.is_zero).reduce()
         if d.is_zero:
-            raise InvalidGaugeError("singular matrix")
-        return RFMatrix([[(cof[i][j] / d).reduce() for i in range(n)] for j in range(n)])
+            return d, None
+        cof += [[self._cofactor(i, j) for j in range(n)] for i in range(1, n)]
+        return d, RFMatrix([[(cof[i][j] / d).reduce() for i in range(n)] for j in range(n)])
 
 
 def _sum(terms: Iterable[RationalFunction]) -> RationalFunction:
@@ -292,7 +303,8 @@ class RecursionState:
     rows in one pass (``_rows``), which reads for each entry j the source
     list that the constructor plans once: the nonzero d*Q*G[t][j], each with
     its least and largest shift, which size the list; the same pass cuts and
-    trims it.  The sign is -1 when the interval has hi <= 0, and 1
+    trims it.  Under a floor, a step on short entries runs flat instead (see
+    below).  The sign is -1 when the interval has hi <= 0, and 1
     otherwise: such a state stores each exponent e as -e, so that its
     ceiling is a floor and every one-sided interval runs one code path.
     Exponents, shifts and hulls below are the stored ones, which only
@@ -345,7 +357,9 @@ class RecursionState:
     state keeps the slack m*s_max - U_m[j] of each entry: 0 on the diagonal
     of S_0 = I, and at step m + 1 the least over the sources t of entry j,
     those with a term of d*Q*G[t][j] and j itself for Q, of the slack of t
-    plus s_max - s, s the source's largest shift (``_next_slack``).  Column
+    plus s_max - s, s the source's largest shift (``_next_slack``).  It
+    keeps the slack less its least, which ``_least`` holds, so that a slack
+    repeats from step to step, and computes each one's successor once.  Column
     c of entry j of S_(m+1) draws on columns >= c - s of each source t, so
     its columns at or past its floor come from stored, exact ones alone; a
     step computes each entry whole, then drops the rest.  Below the highest
@@ -365,6 +379,25 @@ class RecursionState:
     bound covers every column) run with no floor and compute no slack, as
     does ``term_matrix``.
 
+    Under a floor, entries keep a few coefficients, and the per-entry work
+    of ``_rows`` and ``_step_hull`` outweighs their arithmetic, so such a
+    step runs flat (``_flat_step``).  The newest row is held as one int
+    list, its entries in turn, with its layout: the offset of each entry
+    from the row's least exponent and its length.  A plan (``_plan``) lists
+    the step as (destination, source, multiplier) triples over one flat
+    accumulator, the columns that the walk reads, and the segment that each
+    entry keeps, whose zero ends the step trims.  The layout, the slack, the
+    floor relative to the row's least exponent and ``_dropped`` repeat from
+    step to step under a floor, so a plan built for them serves many steps;
+    once a floor has dropped a nonzero coefficient, no triple writes a
+    column below it.  A plan is built once its layout and slack have been
+    seen at an earlier step (``_seen``).  A step on a layout seen once, or
+    seen first at the same step of a re-run, or on an entry of more than
+    ``_SHORT`` coefficients, where the slice axpy of ``_rows`` is the
+    faster, runs ``_rows``; so do the steps without a floor.  The rows held
+    flat are turned back into ``_Coeffs`` rows (``_settle``) before
+    ``_rows`` runs and when ``extend`` returns or raises.
+
     A query at rho is integer work: ``log_norms`` returns one numerator per
     n over a single denominator, the max over m = n..n+lag-1 of
     log ||S_m / (d^m Q^m)||, and log_p |n!| = -(n - s_p(n))/(p - 1) comes
@@ -374,19 +407,25 @@ class RecursionState:
 
     ``perfbench/tracer.py`` reads two private fields: ``_S``, a one-slot list
     whose ``_S[-1]`` holds the window as rows of entries with a ``values()``
-    method, and ``_coeff_count``, the number of nonzero coefficients kept by
-    every step run so far, re-runs included, which is also what the
-    ``budget`` of an ``extend`` call bounds, for that call alone.  It also
+    method once ``extend`` returns, and ``_coeff_count``, the number of
+    nonzero coefficients kept by every step run so far, re-runs included,
+    which is also what the ``budget`` of an ``extend`` call bounds, for that
+    call alone.  It also
     wraps ``log_norms`` and reads its depth as the third positional
     argument, so every norm query, ``norm_sequence`` included, is one call
-    of that method.
+    of that method.  The fields are slots; ``__weakref__`` lets a test watch
+    a state be freed.
     """
 
+    __slots__ = (
+        "p", "rank", "interval", "Q", "d", "_sign", "_qterms", "_parts", "_g", "_spread",
+        "_gw", "_qw", "_lag", "_start", "_S", "_coeff_count", "_hulls", "_bound",
+        "_n_minus_sp", "_vp_d", "_side", "_out", "_reach", "_start_slack", "_slack",
+        "_least", "_slacks", "_sources", "_inward", "_dropped", "_seen", "_plans", "_flat",
+        "__weakref__",
+    )
+
     def __init__(self, module: DiffModule):
-        # every field is set here, and there are fewer than 30: under CPython
-        # 3.11 an instance with a 30th keeps its fields in a dict of its own,
-        # not in the class's shared layout, and each field load is about a
-        # quarter slower
         self.p = module.p
         self.rank = module.rank
         self.interval = module.interval
@@ -460,9 +499,11 @@ class RecursionState:
         self._out = out = max(shifts)
         # no floor when straddling 0; the step loop takes it away once S_m has positive content
         self._reach: Optional[int] = 0 if side else None
-        # the slack of each entry of S_0 and of the newest step if kept, and the least
+        # the slack of each entry of S_0 and of the newest step if kept, less
+        # the least, which ``_least`` holds; each slack's successor, by slack
         self._start_slack = self._slack = None
         self._least = 0
+        self._slacks: dict = {}
         if side:
             # the sources of entry j, the terms of d*Q*G[t][j] and those of Q
             # on entry j itself, as (t, out - s) for the largest shift s
@@ -473,7 +514,7 @@ class RecursionState:
             # the slack of S_0 = I: 0 on its diagonal, _NEVER for a zero entry;
             # none is kept if a diagonal entry feeds itself at the largest
             # shift, as one floor then serves every entry (see the docstring)
-            slack = [[0 if c else _NEVER for c in row] for row in self._start]
+            slack = tuple(tuple(0 if c else _NEVER for c in row) for row in self._start)
             loops = [j for j, src in enumerate(self._sources) if (j, 0) in src]
             self._start_slack = None if any(not row[j] for row in slack for j in loops) else slack
             self._slack = self._start_slack
@@ -483,6 +524,12 @@ class RecursionState:
         # whether a floor has dropped a nonzero coefficient since S_0: until
         # then the window is the floorless one
         self._dropped = False
+        # the step at which each layout and slack were first seen, the plans
+        # of the flat step, and the rows of the steps run flat since ``_S``
+        # was last brought up to date (see ``_flat_step``)
+        self._seen: dict = {}
+        self._plans: dict = {}
+        self._flat: list = []
 
     @property
     def depth(self) -> int:
@@ -512,20 +559,23 @@ class RecursionState:
             content = -max(y for _, y in hulls[m]) if hulls[m] else 0
             if content:
                 self._reach = None
-            window = self._S[-1]
-            # the floor of step m + 1, moved in by each entry's slack if the
-            # slack is kept
-            cap = slack = None
+            # the highest floor of step m + 1, which each entry's slack less
+            # the least moves in if the slack is kept
+            cap = None
             if self._reach is not None:
                 if self._slack is not None:
-                    self._slack = self._next_slack()
-                    self._least = min(map(min, self._slack))
-                cap, slack = (m + 1) * self._out - self._reach, self._slack
-            new_rows = self._rows(window, m, cap, slack)
-            entries = [c for row in new_rows for c in row if c]
-            self._coeff_count += sum(len(c) - c.count(0) for c in entries)
-            self._S[-1] = (window + new_rows)[-mu:]
-            hull = self._step_hull(entries, content, m)
+                    self._slack, least = self._next_slack()
+                    self._least += least
+                cap = (m + 1) * self._out - self._reach - self._least
+            hull = False if cap is None else self._flat_step(m, cap)
+            if hull is False:
+                self._settle()
+                window = self._S[-1]
+                new_rows = self._rows(window, m, cap, self._slack)
+                entries = [c for row in new_rows for c in row if c]
+                self._coeff_count += sum(len(c) - c.count(0) for c in entries)
+                self._S[-1] = (window + new_rows)[-mu:]
+                hull = self._step_hull(entries, content, m)
             if hull is None:
                 # re-run under a floor extrapolated from the e0 seen, then under none
                 misses += 1
@@ -536,19 +586,20 @@ class RecursionState:
                 hulls.append(hull)
                 self._n_minus_sp.append(m + 1 - digit_sum(m + 1, self.p))
             if self._coeff_count > budget:
+                self._settle()
                 raise BudgetExceededError(
                     f"recursion stopped at n={m + 1}: {self._coeff_count} "
                     f"coefficients computed exceed budget {budget}"
                 )
+        self._settle()
 
     def _step_hull(
         self, entries: Sequence[_Coeffs], content: int, m: int
     ) -> Optional[list[tuple[int, int]]]:
         """The hull of S_(m+1) from its nonzero entries, given the content of
-        S_m; None on a miss, a one-sided walk that finds no column of
-        valuation 0 once a floor has dropped a nonzero coefficient."""
+        S_m; None on a miss (``_walked``)."""
         g, p = self._g, self.p
-        lo = min([c.lo for c in entries], default=0)
+        lo = min([c.lo for c in entries] or [0])
         size = (max([c.lo + g * len(c) for c in entries]) - lo) // g if entries else 0
         # each entry with the range [a, b) of the k it covers
         spans = [(c, (c.lo - lo) // g, (c.lo - lo) // g + len(c)) for c in entries]
@@ -569,13 +620,139 @@ class RecursionState:
             # the k below the least that ``_rows`` keeps under that floor,
             # (m + 1)*out - reach - least slack
             stop = max(-1, ((m + 1) * self._out - self._reach - self._least - lo - 1) // g)
-        found = _walk(spans, lo, g, range(size - 1, stop, -1), p)
+        return self._walked(left, _walk(spans, lo, g, range(size - 1, stop, -1), p), m)
+
+    def _walked(self, left, found, m: int) -> Optional[list[tuple[int, int]]]:
+        """The hull of S_(m+1) from the points of its walks; None on a miss,
+        a one-sided walk that finds no column of valuation 0 once a floor has
+        dropped a nonzero coefficient."""
         if self._side and found and found[-1][1] == 0:
             self._inward[m + 1] = (m + 1) * self._out - found[-1][0] - self._least
         elif self._dropped:
             # a miss: e0 can lie past the floor (only a one-sided state drops one)
             return None
         return upper_hull(left + found[::-1])
+
+    def _flat_step(self, m: int, cap: int) -> Union[list[tuple[int, int]], None, bool]:
+        """Step m -> m + 1 as ``_rows`` and ``_step_hull`` run it under the
+        highest floor ``cap``, which each entry's slack less the least moves
+        in, on the newest row held flat: the hull of S_(m+1), None on a miss,
+        or False if ``_rows`` runs the step (see the class docstring).
+
+        A row held flat is its coefficients in one int list, entry after
+        entry, its layout, (offset, length) of each entry on the stride from
+        its least exponent lo ((0, 0) for a zero entry), and lo.  The plan's
+        key clamps cap - lo at the least shift, as a floor below lo plus the
+        least shift cuts nothing."""
+        flat, g = self._flat, self._g
+        if flat:
+            row, lay, lo = flat[-1]
+        else:
+            cs = sum(self._S[-1][-(self.rank // self._lag) :], ())
+            if max(map(len, cs)) > _SHORT:
+                return False
+            lo = min([c.lo for c in cs if c] or [0])
+            lay = tuple([((c.lo - lo) // g, len(c)) if c else (0, 0) for c in cs])
+            row = [v for c in cs for v in c]
+        if max([n for _, n in lay]) > _SHORT or self._seen.setdefault((lay, self._slack), m) >= m:
+            return False
+        key = (lay, self._slack, max(cap - lo, self._out - g * self._spread), self._dropped)
+        plan = self._plans.get(key) or self._plans.setdefault(key, self._plan(*key))
+        size, gops, qops, kept, walk, segs = plan
+        acc = [0] * size
+        for k, t, v in gops:
+            acc[k] += v * row[t]
+        # a Q term's multiplier d*v*(e - m*f) is d*v*(e - lo), the triple's,
+        # plus d*v*lo - m*d*f*v, one base per term and step
+        for ops, (_, dv, dfv) in zip(qops, self._qterms):
+            base = dv * lo - m * dfv
+            for k, t, c in ops:
+                acc[k] += (c + base) * row[t]
+        if size > kept:
+            self._dropped = any(acc[kept:])
+            del acc[kept:]
+        self._coeff_count += kept - acc.count(0)
+        # column c holds the exponent e + g*c; once a floor has dropped a
+        # nonzero coefficient, the walk stops at the highest, cap
+        e = lo + self._out
+        stop = -((e - cap) // g) if self._dropped else -_NEVER
+        found = []
+        for c, at in walk:
+            if c < stop:
+                break
+            col = [acc[k] for k in at]
+            if any(col):
+                v = min_valuation(col, self.p)
+                found.append((e + g * c, -v))
+                if not v:
+                    break
+        row, lay = [], []
+        for a, b, c in segs:
+            while a < b and not acc[a]:
+                a += 1
+            while a < b and not acc[b - 1]:
+                b -= 1
+            row += acc[a:b]
+            lay.append((c + a, b - a))
+        c_lo = min([c for c, n in lay if n] or [0])
+        flat.append((row, tuple([(c - c_lo, n) if n else (0, 0) for c, n in lay]), e + g * c_lo))
+        del flat[: -self._lag]
+        return self._walked([], found, m)
+
+    def _plan(self, lay, slack, x: int, dropped: bool) -> tuple:
+        """The plan of a step from a row of layout ``lay`` under ``slack``, the
+        highest floor cap = lo + x and ``_dropped`` = ``dropped``.  Entry e's
+        columns c, at the exponents lo + out + g*c, are those its terms
+        reach; the accumulator holds those it keeps, entry after entry, then,
+        unless ``dropped``, those its floor drops, as no step reads them once
+        a floor has dropped a nonzero coefficient.  The plan holds the size
+        of the accumulator, the triples of the d*Q*G terms and those of each
+        Q term, the number of columns kept, the walk's columns right to left
+        with their positions, and each entry's kept segment (start, stop,
+        column of position 0), which the step trims."""
+        g, out, mu = self._g, self._out, self.rank
+        starts = list(accumulate([n for _, n in lay], initial=0))
+        terms, spans = [], []
+        for e in range(len(lay)):
+            # (source entry, shift, multiplier, 0) of each d*Q*G term, and
+            # (entry e, shift, d*v, 1 + index) of each Q term
+            i, j = divmod(e, mu)
+            reads = [(i * mu + t, s, v, 0) for t, ts, _, _ in self._parts[j] for s, v in ts]
+            reads += [(e, s, dv, q) for q, (s, dv, _) in enumerate(self._qterms, 1)]
+            new = [
+                (e, o + k + (s - out) // g, starts[t] + k, v * g * (o + k) if q else v, q)
+                for t, s, v, q in reads
+                for o, n in [lay[t]]
+                for k in range(n)
+            ]
+            cs = [c for _, c, _, _, _ in new]
+            a, b = (min(cs), max(cs) + 1) if cs else (0, 0)
+            spans.append((a, max(a, min(b, -((out + (slack[i][j] if slack else 0) - x) // g))), b))
+            terms += new
+        at = [(e, c) for e, (_, cut, b) in enumerate(spans) for c in range(cut, b)]
+        kept = len(at)
+        if not dropped:
+            at += [(e, c) for e, (a, cut, _) in enumerate(spans) for c in range(a, cut)]
+        at = {ec: k for k, ec in enumerate(at)}
+        ops = [(at[e, c], t, v, q) for e, c, t, v, q in terms if (e, c) in at]
+        cols: dict[int, list[int]] = {}
+        for (_, c), k in list(at.items())[:kept]:
+            cols.setdefault(c, []).append(k)
+        ks = list(accumulate([b - cut for _, cut, b in spans], initial=0))
+        segs = [(k, k1, cut - k) for (_, cut, _), k, k1 in zip(spans, ks, ks[1:])]
+        gops = [op[:3] for op in ops if not op[3]]
+        qops = [[op[:3] for op in ops if op[3] == q] for q in range(1, len(self._qterms) + 1)]
+        walk = sorted(cols.items(), reverse=True)
+        return len(at), gops, qops, kept, walk, segs
+
+    def _settle(self) -> None:
+        """Bring ``_S[-1]`` up to date with the rows held flat."""
+        for row, lay, lo in self._flat:
+            ends = accumulate(n for _, n in lay)
+            new = [_Coeffs(row[k - n : k], lo + self._g * o) for (o, n), k in zip(lay, ends)]
+            new = [c if c else _Coeffs() for c in new]
+            self._S[-1] = (self._S[-1] + tuple(zip(*[iter(new)] * self.rank)))[-self.rank :]
+        self._flat.clear()
 
     def _rows(
         self, window, m: int, cap: Optional[int], slack=None
@@ -660,16 +837,25 @@ class RecursionState:
         """Back to S_0, for a re-run under another floor; of the steps run,
         only the e0 seen stay, to plan the floors."""
         self._S[-1] = self._start
+        self._flat.clear()
         del self._hulls[1:], self._n_minus_sp[1:]
         self._bound = None
         self._dropped = False
         self._slack, self._least = self._start_slack, 0
 
-    def _next_slack(self) -> list[list[int]]:
-        """The slack of the next step: for each entry, the least over its
-        sources t of the slack of t plus out - s, s the source's largest
-        shift."""
-        return [[min([e[t] + d for t, d in src]) for src in self._sources] for e in self._slack]
+    def _next_slack(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The slack of the next step, less its least, and that least, as an
+        offset from this step's: for each entry, the least over its sources t
+        of the slack of t plus out - s, s the source's largest shift, and
+        _NEVER for a zero entry.  A slack's successor depends on it alone,
+        so each is computed once."""
+        nxt = self._slacks.get(self._slack)
+        if nxt is None:
+            raw = [[min([e[t] + d for t, d in src]) for src in self._sources] for e in self._slack]
+            least = min(map(min, raw))
+            rel = tuple(tuple(min(v - least, _NEVER) for v in row) for row in raw)
+            nxt = self._slacks[self._slack] = (rel, least)
+        return nxt
 
     def _planned(self, target: int, miss: Optional[tuple[int, int]] = None) -> int:
         """The reach for a run to step ``target``: the newest inward distance

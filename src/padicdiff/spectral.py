@@ -128,13 +128,11 @@ def cyclic_vector(
         rows = [[RationalFunction(c) for c in coords]]
         for _ in range(mu - 1):
             rows.append(_row_apply(rows[-1], module))
-        K = RFMatrix(rows)
-        det = K.det()
-        if det.is_zero:
+        det, H = RFMatrix(rows)._det_inverse()
+        if H is None:
             continue
 
         top = _row_apply(rows[-1], module)  # coordinates of D^mu v
-        H = K.inverse()
         # solve a K = top, i.e. a = top H; then q_i = -a_(mu-i)
         a = (RFMatrix([top]) @ H).reduced().rows[0]
         q = tuple((-a[mu - i]).reduce() for i in range(1, mu + 1))

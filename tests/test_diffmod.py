@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import gc
@@ -930,18 +931,36 @@ def test_floored_run_matches_the_floorless_run():
     assert any(cut for cut, _ in seen) and any(rerun for _, rerun in seen), seen
 
 
+def settled(state):
+    """The window of ``state`` with the rows it holds flat, as ``extend``
+    leaves it, read from a copy so that the state keeps them flat."""
+    ref = copy.copy(state)
+    ref._S, ref._flat = [state._S[-1]], list(state._flat)
+    ref._settle()
+    return ref._S[-1]
+
+
 def windows_by_step(monkeypatch):
     """(step, whether a floor has dropped a nonzero coefficient since S_0, the
-    window) after each step that any state takes, re-runs included."""
+    window) after each step that any state takes, re-runs included: the
+    steps that ``_step_hull`` values, and those that run flat."""
     seen = []
-    real = RecursionState._step_hull
+    real_hull, real_flat = RecursionState._step_hull, RecursionState._flat_step
 
     def step_hull(state, entries, content, m):
         window = [[(c.lo, list(c)) for c in row] for row in state._S[-1]]
         seen.append((m + 1, state._dropped, window))
-        return real(state, entries, content, m)
+        return real_hull(state, entries, content, m)
+
+    def flat_step(state, m, cap):
+        hull = real_flat(state, m, cap)
+        if hull is not False:
+            window = [[(c.lo, list(c)) for c in row] for row in settled(state)]
+            seen.append((m + 1, state._dropped, window))
+        return hull
 
     monkeypatch.setattr(RecursionState, "_step_hull", step_hull)
+    monkeypatch.setattr(RecursionState, "_flat_step", flat_step)
     return seen
 
 
@@ -1098,6 +1117,93 @@ def test_the_row_pass_matches_the_entry_by_entry_step():
     assert all(any(flags) for flags in zip(*seen)), seen
 
 
+def flat_steps_both_ways(monkeypatch):
+    """Check every step that runs flat against ``_rows`` then ``_step_hull``
+    on a copy of the state taken before it: the hull, every entry's lo and
+    values, the count, ``_dropped`` and the inward distances.  Returns, for
+    each step checked, whether the module is a companion one computing row 0
+    alone, a full-rank one of rank 2 or more, mirrored (hi <= 0), under a
+    slack per entry or a single floor, whether a floor had dropped a nonzero
+    coefficient before the step and whether the step dropped the first, and
+    whether the step missed or re-ran after a miss."""
+    seen, missed = [], []
+    real = RecursionState._flat_step
+
+    def flat_step(state, m, cap):
+        ref = copy.copy(state)
+        ref._inward = dict(state._inward)
+        window, before, count = settled(state), state._dropped, state._coeff_count
+        hull = real(state, m, cap)
+        if hull is False:
+            return hull
+        rows = ref._rows(window, m, cap, ref._slack)
+        entries = [c for row in rows for c in row if c]
+        assert hull == ref._step_hull(entries, 0, m), m
+        want = [[(c.lo, list(c)) for c in row] for row in (window + rows)[-state.rank :]]
+        assert [[(c.lo, list(c)) for c in row] for row in settled(state)] == want, m
+        assert state._coeff_count - count == sum(len(c) - c.count(0) for c in entries), m
+        assert (state._dropped, state._inward) == (ref._dropped, ref._inward), m
+        seen.append((state._lag > 1, state._lag == 1 < state.rank, state._sign < 0,
+                     state._slack is not None, state._slack is None, before,
+                     state._dropped and not before, hull is None, bool(missed)))
+        missed.extend([1] if hull is None else [])
+        return hull
+
+    monkeypatch.setattr(RecursionState, "_flat_step", flat_step)
+    return seen
+
+
+def test_the_flat_step_matches_the_row_pass():
+    """The flat step against ``_rows`` and ``_step_hull`` on every floored
+    window that runs reach.  Three explicit examples reach every case
+    whatever the random draws: deep-rank3's companion module under a slack
+    per entry, the full-rank wide module under a single floor, and exp at
+    p = 2 on (-2, 0), mirrored, whose floor drops its one coefficient at a
+    step that misses, and whose re-run runs flat again."""
+    seen = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.one_of(small_modules().map(lambda case: case[0]), companion_modules()),
+        interval=side_intervals().filter(lambda iv: iv.lo >= 0 or iv.hi <= 0),
+        depth=st.integers(8, 40),
+    )
+    @example(deep_rank3_module(), Interval(F(1, 2), 1), 40)
+    @example(wide_module(), Interval(F(1, 2), 2), 24)
+    @example(catalog_get("exp", 2).build(Interval(-2, 0)), Interval(-2, 0), 24)
+    def check(base, interval, depth):
+        with pytest.MonkeyPatch.context() as mp:
+            steps = flat_steps_both_ways(mp)
+            checked = gn_sequence(DiffModule(base.p, base.matrix, interval), depth)
+        # the checks leave the run as it is
+        state = gn_sequence(DiffModule(base.p, base.matrix, interval), depth)
+        assert (checked._hulls, checked._coeff_count) == (state._hulls, state._coeff_count)
+        seen.extend(steps)
+
+    check()
+    assert all(any(flags) for flags in zip(*seen)), seen
+
+
+@pytest.mark.parametrize(
+    "module, depth, most",
+    [
+        # five layouts, each with its slack, to depth 128; those seen at an
+        # earlier step get a plan
+        pytest.param(deep_rank3_module, 128, 8, id="deep-rank3"),
+        # one coefficient a step: one plan before the step that misses, one
+        # for it, and the re-run reuses the first
+        pytest.param(lambda: catalog_get("exp", 2).build(Interval(-2, 0)), 64, 2,
+                     id="exp-mirrored"),
+    ],
+)
+def test_plans_are_built_once_per_layout(monkeypatch, module, depth, most):
+    built = []
+    real = RecursionState._plan
+    monkeypatch.setattr(RecursionState, "_plan", lambda *args: built.append(1) or real(*args))
+    gn_sequence(module(), depth)
+    assert 0 < len(built) <= most
+
+
 def kernel_run(m, depth):
     """The state of ``m`` grown to ``depth``, and log_norms with and without
     n! at both ends and the midpoint of its interval."""
@@ -1108,7 +1214,20 @@ def kernel_run(m, depth):
     return state._hulls, state._coeff_count, state._inward, norms
 
 
-@pytest.mark.parametrize("short", [0, 2**62], ids=["slice-axpy-only", "index-loop-only"])
+# each forces one kernel: every floored step through ``_rows`` rather than
+# flat, with every source through the slice axpy (a cut of 0) or through the
+# index loop (a cut past any length); or every floored step on a layout seen
+# before through the flat step, and the rest through ``_rows``' index loop
+NO_FLAT = (RecursionState, "_flat_step", lambda state, m, cap: False)
+KERNELS = {
+    "slice-axpy-only": [(diffmod, "_SHORT", 0), NO_FLAT],
+    "index-loop-only": [(diffmod, "_SHORT", 2**62), NO_FLAT],
+    "no-flat-step": [NO_FLAT],
+    "flat-step-unbounded": [(diffmod, "_SHORT", 2**62)],
+}
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS), ids=list(KERNELS))
 @pytest.mark.parametrize(
     "module, depth",
     [
@@ -1120,13 +1239,13 @@ def kernel_run(m, depth):
         pytest.param(lambda: frobenius_pullback(sparse_module(), 1), 96, id="pulled"),
     ],
 )
-def test_each_kernel_alone_gives_the_same_state(monkeypatch, module, depth, short):
-    """Every source through the slice axpy (a cut of 0) or through the index
-    loop (a cut past any length) gives the default run's hulls, counts,
-    inward distances and norms."""
+def test_each_kernel_alone_gives_the_same_state(monkeypatch, module, depth, kernel):
+    """Each kernel alone gives the default run's hulls, counts, inward
+    distances and norms."""
     m = module()
     want = kernel_run(m, depth)
-    monkeypatch.setattr(diffmod, "_SHORT", short)
+    for patch in KERNELS[kernel]:
+        monkeypatch.setattr(*patch)
     assert kernel_run(m, depth) == want
 
 
