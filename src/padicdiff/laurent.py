@@ -17,6 +17,7 @@ parentheses, e.g. ``(1 - x^2)/(4*x)``.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from fractions import Fraction
@@ -238,73 +239,93 @@ def _mul_acc(acc: dict, a: Mapping[int, Rational], b: Mapping[int, Rational]) ->
 
 _ONE = {0: 1}  # the coefficient dict of the polynomial 1
 
-
-def _deg(c: dict[int, Fraction]) -> int:
-    return max(c) if c else -1
-
-
-def _poly_div(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    """The quotient of a by a nonzero b in Q[x]; the remainder is dropped."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = dict(a)
-    quo: dict[int, Fraction] = {}
-    db, lb = _deg(b), b[_deg(b)]
-    while rem and _deg(rem) >= db:
-        dr = _deg(rem)
-        f = rem[dr] / lb
-        quo[dr - db] = f
-        _mul_acc(rem, {dr - db: -f}, b)
-        rem = {e: v for e, v in rem.items() if v}
-    return quo
+# largest max(deg A, deg B)·log10 ξ for which ``_poly_gcd`` evaluates A and
+# B at ξ: the digits of the integers whose gcd it takes.  Dense entries under
+# it, degree 1000 with 99-digit coefficients or degree 19,999, reduce in at
+# most 0.35 s
+MAX_EVAL_DIGITS = 100_000
 
 
-def _prim_int(c: dict[int, Fraction]) -> dict[int, int]:
-    """Scale a nonzero rational polynomial to primitive integer coefficients."""
+def _prim_int(c: dict[int, Fraction]) -> tuple[Fraction, dict[int, int]]:
+    """(k, P) with P a primitive integer polynomial and c = k·P, k > 0."""
     den = math.lcm(*(v.denominator for v in c.values()))
     ints = {e: v.numerator * (den // v.denominator) for e, v in c.items()}
     g = math.gcd(*ints.values())
-    return {e: v // g for e, v in ints.items()}
+    return Fraction(g, den), {e: v // g for e, v in ints.items()}
 
 
-def _int_prem(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Pseudo-remainder of a by b in Z[x] (b nonzero)."""
-    db, lb = _deg(b), b[_deg(b)]
-    rem = dict(a)
-    while rem and _deg(rem) >= db:
-        dr = _deg(rem)
-        lr = rem[dr]
-        rem = {e: v * lb for e, v in rem.items()}
-        _mul_acc(rem, {dr - db: -lr}, b)
-        rem = {e: v for e, v in rem.items() if v}
-    return rem
+def _exact_div(a: dict[int, int], b: dict[int, int]) -> Optional[dict[int, int]]:
+    """a / b in Z[x] if b divides a there, else None.
+
+    The remainder's exponents wait in one sorted list, so the work follows
+    the terms met and not the degree: x^N + 1 over itself is one step for
+    any N."""
+    db = max(b)
+    lb, low = b[db], [(e - db, v) for e, v in b.items() if e != db]
+    rem, quo = dict(a), {}
+    todo = sorted(rem)
+    while todo:
+        e = todo.pop()
+        q, r = divmod(rem.pop(e), lb)
+        if r or (q and e < db):
+            return None
+        if q:
+            quo[e - db] = q
+            for f, v in low:
+                if e + f not in rem:
+                    bisect.insort(todo, e + f)
+                rem[e + f] = rem.get(e + f, 0) - q * v
+    return quo
 
 
-def _poly_gcd(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Monic gcd in Q[x] via a primitive pseudo-remainder sequence.
+def _eval(items: list[tuple[int, int]], xi: int, base: int = 0) -> int:
+    """The sum of c·xi^(e - base) over the pairs (e, c) of items, sorted by e.
 
-    Working over Z[x] with content stripped after every pseudo-division
-    keeps intermediate coefficients small; plain Euclid over Q[x] blows up.
-    """
-    if not a and not b:
-        return {}
-    A = _prim_int(a) if a else {}
-    B = _prim_int(b) if b else {}
-    if not A:
-        A, B = B, A
-    while B:
-        R = _int_prem(A, B)
-        content = math.gcd(*R.values())
-        A, B = B, {e: v // content for e, v in R.items()}
-    lead = A[_deg(A)]
-    return {e: Fraction(v, lead) for e, v in A.items()}
+    Its halves are joined by one power of xi, so a sparse polynomial costs
+    no more than its terms, and a dense one far less than by Horner."""
+    if len(items) == 1:
+        return items[0][1] * xi ** (items[0][0] - base)
+    m = len(items) // 2
+    right = items[m][0]
+    return _eval(items[:m], xi, base) + xi ** (right - base) * _eval(items[m:], xi, right)
 
 
-def _content(c: dict[int, Fraction]) -> Fraction:
-    """Positive rational content: c / content is primitive with integer coeffs."""
-    num = math.gcd(*(v.numerator for v in c.values()))
-    den = math.lcm(*(v.denominator for v in c.values()))
-    return Fraction(num, den)
+def _poly_gcd(a: dict[int, int], b: dict[int, int]) -> tuple[dict, dict, dict]:
+    """(G, a/G, b/G) with G the gcd of primitive integer polynomials a and b.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): G is read
+    from gcd(a(ξ), b(ξ)) as symmetric base-ξ digits and kept only if it
+    divides a and b exactly, which makes it the gcd as ξ ≥ 2·min(‖a‖∞,
+    ‖b‖∞) + 2; otherwise ξ grows by a factor of about 2.7·ξ^(1/4)."""
+    da, db = max(a), max(b)
+    if not da or not db:
+        return _ONE, a, b
+    s = math.gcd(*a, *b)
+    if s > 1:  # a and b are polynomials in x^s, and so are G and the cofactors
+        parts = _poly_gcd({e // s: v for e, v in a.items()}, {e // s: v for e, v in b.items()})
+        return tuple({e * s: v for e, v in c.items()} for c in parts)
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    while max(da, db) * math.log10(xi) <= MAX_EVAL_DIGITS:
+        gamma = math.gcd(_eval(sorted(a.items()), xi), _eval(sorted(b.items()), xi))
+        g, e = {}, 0
+        while gamma:
+            gamma, d = divmod(gamma, xi)
+            if d > xi // 2:
+                d, gamma = d - xi, gamma + 1
+            if d:
+                g[e] = d
+            e += 1
+        k = math.gcd(*g.values())
+        g = {e: v // k for e, v in g.items()}
+        qa = _exact_div(a, g)
+        qb = None if qa is None else _exact_div(b, g)
+        if qb is not None:
+            return g, qa, qb
+        xi = xi * math.isqrt(math.isqrt(xi)) * 73794 // 27011
+    raise InputError(
+        f"the gcd of polynomials of degrees {da} and {db} needs integers of more"
+        f" than {MAX_EVAL_DIGITS} digits: too large to reduce"
+    )
 
 
 class RationalFunction:
@@ -432,17 +453,13 @@ class RationalFunction:
             out = RationalFunction(LaurentPoly.zero())
         else:
             m_num, m_den = self.num.min_exp, self.den.min_exp
-            n0 = {e - m_num: v for e, v in self.num._c.items()}
-            d0 = {e - m_den: v for e, v in self.den._c.items()}
-            g = _poly_gcd(n0, d0)
-            if _deg(g) > 0:
-                n0 = _poly_div(n0, g)
-                d0 = _poly_div(d0, g)
-            scale = _content(d0)
-            if d0[_deg(d0)] < 0:
-                scale = -scale
-            num = LaurentPoly({e + m_num - m_den: v / scale for e, v in n0.items()})
-            den = LaurentPoly({e: v / scale for e, v in d0.items()})
+            k_num, n0 = _prim_int({e - m_num: v for e, v in self.num._c.items()})
+            k_den, d0 = _prim_int({e - m_den: v for e, v in self.den._c.items()})
+            _, n0, d0 = _poly_gcd(n0, d0)
+            sign = 1 if d0[max(d0)] > 0 else -1
+            scale = sign * k_num / k_den
+            num = LaurentPoly({e + m_num - m_den: v * scale for e, v in n0.items()})
+            den = LaurentPoly({e: sign * v for e, v in d0.items()})
             out = RationalFunction(num, den)
         out._reduced = out
         self._reduced = out
@@ -465,13 +482,16 @@ def common_denominator(dens: Iterable[LaurentPoly]) -> LaurentPoly:
     q = LaurentPoly.one()
     for den in dens:
         if den._c != _ONE:
-            q = q * LaurentPoly(_poly_div(den._c, _poly_gcd(q._c, den._c)))
-    return LaurentPoly(_prim_int(q._c))
+            q = q * LaurentPoly(_poly_gcd(_prim_int(q._c)[1], _prim_int(den._c)[1])[2])
+    return q
 
 
 def exact_quotient(q: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """q / den for polynomials q and den that divides it, such as Q / den."""
-    return q if den._c == _ONE else LaurentPoly(_poly_div(q._c, den._c))
+    """q / den for primitive integer polynomials q and den that divides it,
+    such as Q / den."""
+    if den._c == _ONE:
+        return q
+    return LaurentPoly(_exact_div(_prim_int(q._c)[1], _prim_int(den._c)[1]))
 
 
 def gauss_norm(
@@ -533,22 +553,6 @@ def pole_logmags(f: RationalFunction, p: Union[int, Prime]) -> list[Fraction]:
 # (1+x)^n costs more than n^2, and (1+x)^2000 already takes about 8 times as
 # long as (1+x)^1000
 MAX_POWER_SPAN = 1000
-
-# largest span of the narrower side of a parsed entry whose numerator and
-# denominator are both non-monomial: ``reduce`` takes their gcd, whose cost
-# grows about as the fifth power of that span.  Built from single-digit
-# factors, the slowest such entries found reduce in about 1 s at span 80
-# ((3+5*x+7*x^2)^40/(2+9*x+8*x^2)^40: 1.1 s) and in up to 4 s at span 100
-MAX_GCD_SPAN = 80
-
-# largest Hadamard bound on the digits of the resultant of a parsed entry's
-# numerator and denominator, both non-monomial: span(num) log10 h(den) +
-# span(den) log10 h(num), with h the coefficient bound of ``_height``.  The
-# pseudo-remainders of ``reduce``'s gcd grow to about that many digits, which
-# the span rule does not see: (1+x)^800/(1+10^50*x) (40,241) took 3 s and two
-# degree-20 polynomials with 1,000-digit coefficients (40,045) 5 s, while
-# (3+5*x+7*x^2)^40/(2+9*x+8*x^2)^40 (7,856) reduces in 1.2 s
-MAX_GCD_DIGITS = 8000
 
 # deepest nesting of parentheses in matrix text; the parser recurses six
 # frames per level, so this stays well inside Python's recursion limit
@@ -725,21 +729,7 @@ def parse_rational_function(text: str, var: str = "x") -> RationalFunction:
     """Parse a rational-function string such as ``(1 - x^2)/(4*x)``."""
     if not text.strip():
         raise ParseError("empty expression")
-    out = _Parser(_tokenize(text), var).parse()
-    if len(out.num) > 1 and len(out.den) > 1:
-        num_span, den_span = (f.support[-1] - f.support[0] for f in (out.num, out.den))
-        if min(num_span, den_span) > MAX_GCD_SPAN:
-            raise ParseError(
-                f"numerator and denominator both span more than {MAX_GCD_SPAN}:"
-                " too large to reduce"
-            )
-        digits = num_span * math.log10(_height(out.den)) + den_span * math.log10(_height(out.num))
-        if digits > MAX_GCD_DIGITS:
-            raise ParseError(
-                f"reducing numerator and denominator may take integers of {digits:.0f}"
-                f" digits, more than {MAX_GCD_DIGITS}: too large to reduce"
-            )
-    return out
+    return _Parser(_tokenize(text), var).parse()
 
 
 def poly_to_str(f: LaurentPoly, var: str = "x") -> str:

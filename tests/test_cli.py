@@ -405,21 +405,14 @@ def case(config, argv, error_type, named, id):
         case(MODULE.replace("0, 1\n", "0, (1+x)^1000*(1+x)^1000\n"), ["pullback", "--h", "1"],
              "ParseError", "span more than 1000", "matrix-product-past-span-limit"),
         # a sum over unequal denominators is sized by its cross products, and
-        # an entry whose reduction gcd would take minutes is refused at parse
+        # an entry whose reduction gcd would evaluate its polynomials past
+        # MAX_EVAL_DIGITS is refused when it is reduced
         case(None, ["radius", *_FAMILY, "companion", "--q",
                     "(1+x)^600/(1+2*x)^600 + (1+3*x)^600/(1+4*x)^600"],
              "ParseError", "sum: exponents would span more than 1000", "q-sum-past-span-limit"),
-        case(None, ["radius", *_FAMILY, "companion", "--q",
-                    "(1+x)^100*(1+3*x)^100/((1+2*x)^100*(1+4*x)^100)"],
-             "ParseError", "both span more than 80", "q-quotient-past-gcd-span-limit"),
-        case(None, ["radius", *_FAMILY, "companion", "--q",
-                    "(1+x)^100/(1+2*x)^100 + (1+3*x)^100/(1+4*x)^100"],
-             "ParseError", "both span more than 80", "q-sum-past-gcd-span-limit"),
-        # so is one whose narrower side spans 1 but whose gcd would grow
-        # integers of tens of thousands of digits (3-7 s to reduce)
-        *(case(None, ["radius", *_FAMILY, "companion", "--q", q], "ParseError",
-               "more than 8000: too large to reduce", f"q-quotient-past-gcd-digit-limit-{k}")
-          for k, q in enumerate(("(1+x)^400/(1+10^200*x)", "(1+x)^800/(1+10^50*x)"))),
+        case(None, ["radius", *_FAMILY, "companion", "--q", "(1+x)^1000/(1+10^4000*x)"],
+             "InputError", "100000 digits: too large to reduce",
+             "q-quotient-past-gcd-eval-limit"),
         case(MODULE.replace("0, 1\n", "0, " + "(" * 200 + "1" + ")" * 200 + "\n"), ["radius"],
              "ParseError", "nested more than", "matrix-cell-parentheses-past-nesting-limit"),
         case(None, ["radius", *_FAMILY, "companion", "--q", "(" * 200 + "1" + ")" * 200],

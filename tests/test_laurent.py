@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padicdiff.arith import Interval, log_abs
 from padicdiff.errors import InputError, ParseError
@@ -11,6 +11,7 @@ from padicdiff.laurent import (
     LaurentPoly,
     _mul_acc,
     _poly_gcd,
+    MAX_EVAL_DIGITS,
     RationalFunction,
     gauss_norm,
     newton_root_logmags,
@@ -278,6 +279,50 @@ def test_reduce_cancels_common_factor():
     assert r.den == LaurentPoly.one()
 
 
+def euclid_gcd(a, b):
+    """Slow reference: the monic gcd of two coefficient maps by Euclid over Q."""
+    a, b = ({e: F(v) for e, v in c.items() if v} for c in (a, b))
+    while b:
+        db = max(b)
+        while a and max(a) >= db:
+            da = max(a)
+            f = a[da] / b[db]
+            for e, v in b.items():
+                a[e + da - db] = a.get(e + da - db, 0) - f * v
+            a = {e: v for e, v in a.items() if v}
+        a, b = b, a
+    return {e: v / a[max(a)] for e, v in a.items()}
+
+
+def int_polys(max_deg):
+    """Nonzero integer polynomials up to max_deg with 1-60 digit coefficients,
+    dense (every exponent) or sparse (at most 3 terms)."""
+    ints = st.integers(1, 60).flatmap(lambda k: st.integers(-(10**k), 10**k))
+    dense = st.lists(ints, min_size=1, max_size=max_deg + 1).map(lambda c: dict(enumerate(c)))
+    sparse = st.dictionaries(st.integers(0, max_deg), ints, min_size=1, max_size=3)
+    return st.one_of(dense, sparse).map(lambda c: {e: v for e, v in c.items() if v}).filter(bool)
+
+
+def int_product(a, b):
+    acc = {}
+    _mul_acc(acc, a, b)
+    return {e: v for e, v in acc.items() if v}
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=int_polys(12), u=int_polys(25), v=int_polys(25))
+# at the first point, 31, the candidate x + 1 divides x + 1 but not x + 33
+@example(g={0: 1}, u={0: 1, 1: 1}, v={0: 33, 1: 1})
+def test_heuristic_gcd_matches_euclid(g, u, v):
+    # a planted common factor g; the gcd's inputs are primitive
+    a, b = (int_product(g, f) for f in (u, v))
+    a, b = ({e: c // math.gcd(*f.values()) for e, c in f.items()} for f in (a, b))
+    G, qa, qb = _poly_gcd(a, b)
+    assert G[max(G)] > 0 and math.gcd(*G.values()) == 1
+    assert {e: F(c, G[max(G)]) for e, c in G.items()} == euclid_gcd(a, b)
+    assert int_product(G, qa) == a and int_product(G, qb) == b
+
+
 @settings(deadline=None)
 @given(num=coeff_maps, den=coeff_maps.filter(bool), h=coeff_maps.filter(bool))
 def test_reduce_returns_the_canonical_form(num, den, h):
@@ -291,13 +336,23 @@ def test_reduce_returns_the_canonical_form(num, den, h):
     assert coeffs[max(coeffs)] > 0 and r.den.min_exp == 0
     if not r.is_zero:
         shifted = {e - r.num.min_exp: v for e, v in r.num.coeffs.items()}
-        assert _poly_gcd(shifted, coeffs) == {0: 1}
+        assert euclid_gcd(shifted, coeffs) == {0: 1}
     # idempotent, and the same dicts for f built another way
     assert r.reduce() is r
     h = LaurentPoly(h)
     for g in (RationalFunction(r.num, r.den), RationalFunction(f.num * h, f.den * h)):
         g = g.reduce()
         assert (g.num.coeffs, g.den.coeffs) == (r.num.coeffs, r.den.coeffs)
+
+
+def test_reduce_takes_the_gcd_in_x_to_the_s():
+    # a pullback's entries are polynomials in x^q: the gcd is taken in x^q,
+    # far below the degree at which it would be refused
+    f = P("(1+x)*(2+x)/((1+x)*(3+x^2))")
+    q = 3**12
+    r = f.substitute_power(q).reduce()
+    assert r.num == f.reduce().num.substitute_power(q)
+    assert r.den == f.reduce().den.substitute_power(q)
 
 
 def test_rf_field_ops():
@@ -360,13 +415,23 @@ def test_power_size_is_predicted_before_expanding():
     assert P("x^3000*(1+x)") == RationalFunction(LaurentPoly({3000: 1, 3001: 1}))
     assert P("7*(1+x^2000)") == RationalFunction(LaurentPoly({0: 7, 2000: 7}))
     assert P("(1+x)^600*(1+x)^400").num.coeff(500) == math.comb(1000, 500)
-    # an entry whose gcd needs no long run: one side monomial, or the narrower
-    # spanning at most 80 with a gcd of integers of at most 8,000 digits
+    # an entry reduces while the gcd's integers stay within MAX_EVAL_DIGITS,
+    # however wide both sides or large their coefficients
     assert P("(x^19999+1)/(x+1)").reduce().num.coeff(19998) == 1
     assert P("(1+x)^80/(1+2*x)^80").reduce().den.coeff(80) == 2**80
+    assert P("(1+x)^81/(1+2*x)^81").reduce().den.coeff(81) == 2**81
     assert P("(1+x)^1000/(2+x)").reduce().den == LaurentPoly({0: 2, 1: 1})
     assert P("(3+5*x+7*x^2)^40/(2+9*x+8*x^2)^40").den.coeff(80) == 8**40
     assert P("1/(1+x) + 1/(1+2*x)") == P("(2+3*x)/((1+x)*(1+2*x))")
+    assert P("1/(1+x)^81 + 1/(1+3*x)").reduce().den.coeff(82) == 3
+    assert P("(1+x)^400/(1+10^200*x)").reduce().den.coeff(1) == 10**200
+    assert P("(1+x)^800/(1+10^50*x)").reduce().den.coeff(1) == 10**50
+    # so do two random degree-20 polynomials with 1,000-digit coefficients
+    rng = random.Random(7)
+    num, den = (
+        "+".join(f"{rng.randrange(10**999, 10**1000)}*x^{e}" for e in range(21)) for _ in "nd"
+    )
+    assert max(P(f"({num})/({den})").reduce().den.coeffs) == 20
     for bad, named in (
         ("(1/3)^10000", "4300 digits"),
         ("(1+x)^1001", "span more than 1000"),
@@ -378,21 +443,15 @@ def test_power_size_is_predicted_before_expanding():
         ("(10^1000)^4*10^1000", "product: coefficients would pass 4300 digits"),
         # a sum over unequal denominators is sized by its cross products
         ("(1+x)^600/(1+2*x) + 1/(1+3*x)^401", "sum: exponents would span more than 1000"),
-        ("(1+x)^81/(1+2*x)^81", "both span more than 80"),
-        ("1/(1+x)^81 + 1/(1+3*x)", "both span more than 80"),
-        ("(1+x)^400/(1+10^200*x)", "80120 digits, more than 8000"),
-        ("(1+x)^800/(1+10^50*x)", "40241 digits, more than 8000"),
     ):
         with pytest.raises(ParseError, match=named):
             parse_rational_function(bad)
-    # two random degree-20 polynomials with 1,000-digit coefficients (5 s to
-    # reduce) are refused at once
-    rng = random.Random(7)
-    num, den = (
-        "+".join(f"{rng.randrange(10**999, 10**1000)}*x^{e}" for e in range(21)) for _ in "nd"
-    )
-    with pytest.raises(ParseError, match="too large to reduce"):
-        parse_rational_function(f"({num})/({den})")
+    # an entry whose gcd would evaluate past MAX_EVAL_DIGITS parses, and is
+    # refused by reduce() at once: degree times digits of the first point
+    for bad in ("(x^19999+10^4000)/(x^2+10^4000)", "(1+x)^1000/(1+10^4000*x)"):
+        f = P(bad)
+        with pytest.raises(InputError, match=f"more than {MAX_EVAL_DIGITS} digits: too large"):
+            f.reduce()
 
 
 def test_poly_to_str_formats():
