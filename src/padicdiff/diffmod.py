@@ -68,7 +68,7 @@ DEFAULT_COEFF_BUDGET = 5_000_000
 # valuation a coefficient can have
 _NEVER = 1 << 62
 # a step adds a source entry of at most this many coefficients with an index
-# loop, a longer one with a slice axpy (see ``RecursionState``)
+# loop, a longer one with a slice (see ``RecursionState``)
 _SHORT = 8
 
 
@@ -297,9 +297,15 @@ class RecursionState:
     S' and Q' into one multiplier per coefficient, d*v*(e - n*f) for the
     term v*x^f of Q and the exponent e of the coefficient.  A source of at
     most ``_SHORT`` coefficients is added with an index loop, a longer one
-    with a slice axpy: a slice costs a fixed amount to build, which outweighs
+    with a slice: a slice costs a fixed amount to build, which outweighs
     the arithmetic on the few coefficients that floored entries keep, while
-    on a long source its cost per element is the lower.  A step computes its
+    on a long source its cost per element is the lower.  There a big-integer
+    product or sum costs about the same whatever its size, so a slice runs
+    one of them per coefficient: the first write into an entry's zeroed list
+    stores its products, or the source itself for a multiplier of 1, and a
+    (source, multiplier) pair that several terms use (``_shared``), as every
+    d*Q*G term of a ramification pullback carries p^h, is scaled once per
+    row, so that each of its terms is a plain add.  A step computes its
     rows in one pass (``_rows``), which reads for each entry j the source
     list that the constructor plans once: the nonzero d*Q*G[t][j], each with
     its least and largest shift, which size the list; the same pass cuts and
@@ -393,7 +399,7 @@ class RecursionState:
     column below it.  A plan is built once its layout and slack have been
     seen at an earlier step (``_seen``).  A step on a layout seen once, or
     seen first at the same step of a re-run, or on an entry of more than
-    ``_SHORT`` coefficients, where the slice axpy of ``_rows`` is the
+    ``_SHORT`` coefficients, where the slice of ``_rows`` is the
     faster, runs ``_rows``; so do the steps without a floor.  The rows held
     flat are turned back into ``_Coeffs`` rows (``_settle``) before
     ``_rows`` runs and when ``extend`` returns or raises.
@@ -422,7 +428,7 @@ class RecursionState:
         "_gw", "_qw", "_lag", "_start", "_S", "_coeff_count", "_hulls", "_bound",
         "_n_minus_sp", "_vp_d", "_side", "_out", "_reach", "_start_slack", "_slack",
         "_least", "_slacks", "_sources", "_inward", "_dropped", "_seen", "_plans", "_flat",
-        "__weakref__",
+        "_shared", "__weakref__",
     )
 
     def __init__(self, module: DiffModule):
@@ -450,6 +456,11 @@ class RecursionState:
             tuple((t, row[j], row[j][0][0], row[j][-1][0]) for t, row in enumerate(pt) if row[j])
             for j in range(mu)
         )
+        # the (t, multiplier) pairs other than 1 that more than one of those
+        # terms use, as every term of a ramification pullback carries p^h:
+        # ``_rows`` scales such a source once per row
+        pairs = [(t, v) for parts in self._parts for t, terms, _, _ in parts for _, v in terms]
+        self._shared = tuple({tv for tv in pairs if tv[1] != 1 and pairs.count(tv) > 1})
         shifts = [s for row in pt for terms in row for s, _ in terms]
         shifts += [s for s, _, _ in self._qterms]
         self._g = math.gcd(*(s - shifts[0] for s in shifts)) or 1
@@ -768,6 +779,10 @@ class RecursionState:
         dropped = self._dropped
         rows = []
         for i, Si in enumerate(window[-(self.rank // self._lag) :]):
+            # each long source that a shared pair multiplies, scaled once for this row
+            scaled = {
+                (t, v): [v * y for y in Si[t]] for t, v in self._shared if len(Si[t]) > _SHORT
+            }
             row = []
             for j, parts in enumerate(self._parts):
                 # the least and largest exponent that a term reaches
@@ -787,6 +802,8 @@ class RecursionState:
                     row.append(_Coeffs())
                     continue
                 acc = [0] * ((hi - lo) // g + 1)
+                # until the first write, acc is zeros: that write stores its terms
+                fresh = True
                 for t, terms, _, _ in parts:
                     b = Si[t]
                     if b:
@@ -796,13 +813,20 @@ class RecursionState:
                             if size <= _SHORT:
                                 for k, y in enumerate(b, k):
                                     acc[k] += v * y
+                                fresh = False
                                 continue
                             at = slice(k, k + size)
-                            # a product by 1 still copies the big integer; skip it
-                            if v == 1:
-                                acc[at] = [x + y for x, y in zip(acc[at], b)]
-                            else:
+                            # one big-integer operation a coefficient: a product
+                            # by 1 still copies the big integer, so read the
+                            # source itself, or its scaled copy for a shared pair
+                            src = b if v == 1 else scaled.get((t, v))
+                            if fresh:
+                                acc[at] = [v * y for y in b] if src is None else src
+                                fresh = False
+                            elif src is None:
                                 acc[at] = [x + v * y for x, y in zip(acc[at], b)]
+                            else:
+                                acc[at] = [x + y for x, y in zip(acc[at], src)]
                 if bq:
                     size = len(bq)
                     for s, dv, dfv in qterms:

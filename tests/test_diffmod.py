@@ -1075,7 +1075,7 @@ def test_the_row_pass_matches_the_entry_by_entry_step():
     and without a cap and a slack on one-sided intervals, with neither when
     straddling: every entry's lo and values, and ``_dropped``.  Both kernels
     run, the index loop on sources of at most ``_SHORT`` coefficients and the
-    slice axpy on longer ones, for the terms of d*Q*G and for the Q ramp.
+    slice on longer ones, for the terms of d*Q*G and for the Q ramp.
     Two explicit examples reach every one of these cases whatever the random
     draws: long sources cut at exponent 30 under a zero slack, and short ones
     uncut."""
@@ -1129,6 +1129,98 @@ def test_the_row_pass_matches_the_entry_by_entry_step():
     # some passes were cut, some under a slack, and some cuts dropped a
     # coefficient; short and long sources were added on both kernels
     assert all(any(flags) for flags in zip(*seen)), seen
+
+
+def kernel_cases(state, rows):
+    """Which cases of the slice kernel a pass over ``rows`` reaches: a long
+    source that a shared pair scales; a first slice write into an entry after
+    an index-loop write to a column it covers; and a shared pair that scales
+    a different source in each of two rows."""
+    short, g = diffmod._SHORT, state._g
+    scaled = [{(t, v): Si[t] for t, v in state._shared if len(Si[t]) > short} for Si in rows]
+    after = False
+    for Si, parts in itertools.product(rows, state._parts):
+        # the exponents that each term writes, in the order ``_rows`` adds
+        # them, and whether its source is long
+        terms = [(range(Si[t].lo + s, Si[t].lo + s + g * len(Si[t]), g), len(Si[t]) > short)
+                 for t, ts, _, _ in parts if Si[t] for s, _ in ts]
+        first = next((i for i, (_, long) in enumerate(terms) if long), None)
+        if first is not None:
+            written = {e for es, _ in terms[:first] for e in es}
+            after = after or not written.isdisjoint(terms[first][0])
+    common = scaled[0].keys() & scaled[1].keys() if len(scaled) > 1 else ()
+    return any(scaled), after, any(scaled[0][tv] != scaled[1][tv] for tv in common)
+
+
+# rank-2 pullbacks whose d*Q*G terms share multipliers: coefficients from a
+# small pool, entries that can be zero, Q = 1, x or 1 + x^(p^h)
+pulled_nums = st.dictionaries(
+    st.integers(-2, 2), st.sampled_from([-1, 1, 2]), max_size=3
+).map(LaurentPoly)
+
+
+@st.composite
+def pulled_bases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    den = st.sampled_from(["1", "x", "1 + x"])
+    rows = [[RationalFunction(draw(pulled_nums), P(draw(den)).num) for _ in range(2)]
+            for _ in range(2)]
+    return DiffModule(Prime(p), RFMatrix(rows), I01)
+
+
+def test_the_row_kernel_matches_the_step_per_coefficient_on_pullbacks():
+    """``_rows`` with no cap, step by step from S_0 on the windows of a plain
+    per-coefficient step, and ``term_matrix`` against that step's matrices,
+    on pullbacks with h = 1, 2 at p = 2, 3, 5, 7, on intervals straddling 0,
+    left of it (stored mirrored) and right of it (positive content): every
+    entry's lo and values.  Sources grow from short to long on the way.
+    Three explicit examples, pullbacks of the sparse benchmark module, reach
+    every case whatever the draws: at step 5 of each, entry (0, 1) adds the
+    short entry (0, 0) by the index loop inside the slice of its first long
+    term, and the pair (1, p^h) scales a long source in each row."""
+    seen, grown = [], []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=pulled_bases(),
+        h=st.integers(1, 2),
+        interval=side_intervals().filter(lambda iv: iv.lo != 0 != iv.hi),
+        depth=st.integers(6, 10),
+    )
+    @example(sparse_module(), 2, Interval(-1, 1), 8)
+    @example(sparse_module(), 1, Interval(F(1, 2), 1), 8)
+    @example(sparse_module(), 1, Interval(-1, F(-1, 2)), 8)
+    def check(base, h, interval, depth):
+        module = DiffModule(base.p, frobenius_pullback(base, h).matrix, interval)
+        state = RecursionState(module)
+        factors = short_factors(module, state)
+        window, lengths = state._start, []
+        for m in range(depth):
+            want = [[entry_the_slow_way(state, factors, Si, j, m, None)[0]
+                     for j in range(state.rank)] for Si in window]
+            got = [[(c.lo, list(c)) for c in row] for row in state._rows(window, m, None)]
+            assert got == want, m
+            lengths.append([len(c) for row in window for c in row])
+            seen.append((*kernel_cases(state, window), h == 2, interval.lo < 0 < interval.hi,
+                         interval.hi < 0, interval.lo > 0))
+            window = tuple(tuple(diffmod._Coeffs(c, lo) for lo, c in row) for row in want)
+        # a source of at most ``_SHORT`` coefficients at one step and more at the next
+        grown.extend(a <= diffmod._SHORT < b for old, new in zip(lengths, lengths[1:])
+                     for a, b in zip(old, new))
+        state.extend(depth)
+        den = state.Q**depth * state.d**depth
+        sign, g = state._sign, state._g
+        assert state.term_matrix(depth) == RFMatrix([
+            [RationalFunction(LaurentPoly({sign * (c.lo + g * k): v for k, v in enumerate(c)}), den)
+             for c in row]
+            for row in window
+        ])
+
+    check()
+    # shared pairs scaled, a first slice write after an index-loop write, a
+    # pair scaled from each row's own source, h = 2, each kind of interval,
+    # and sources grown past ``_SHORT``
+    assert all(any(flags) for flags in zip(*seen)) and any(grown), seen
 
 
 def flat_steps_both_ways(monkeypatch):
@@ -1229,7 +1321,7 @@ def kernel_run(m, depth):
 
 
 # each forces one kernel: every floored step through ``_rows`` rather than
-# flat, with every source through the slice axpy (a cut of 0) or through the
+# flat, with every source through the slice (a cut of 0) or through the
 # index loop (a cut past any length); or every floored step on a layout seen
 # before through the flat step, and the rest through ``_rows``' index loop
 NO_FLAT = (RecursionState, "_flat_step", lambda state, m, cap: False)
@@ -1320,6 +1412,31 @@ def test_an_empty_window_is_not_a_cut_one(monkeypatch, p, rows, interval, zero_f
     state = gn_sequence(m, 40)
     assert not restarts and window_cut(state) and state._reach is not None
     assert state._hulls[zero_from:] == [[]] * (len(state._hulls) - zero_from)
+    assert_matches_the_floorless_run(state, m, (interval.lo, interval.hi))
+
+
+@pytest.mark.parametrize(
+    "p, rows, interval, zero",
+    [
+        # S_n = 0 from n = 3, but the ceiling of step 1 drops the x^2 of
+        # 1 - x^2, and step 3 computed from the cut S_2 is nonzero only in
+        # the columns that its ceiling cuts: the window holds no coefficient
+        (3, [["x", "1 - x^2"], ["1", "-x"]], Interval(-1, F(-1, 2)), True),
+        # the floor drops the x^-3 of entry (0, 1), and the x^3 that it keeps
+        # dies at step 5: the whole of step 5 computed from the cut window is
+        # zero, while S_5 = -360*x^-7 is not
+        (5, [["0", "2*x^3 - x^-3"], ["0", "0"]], Interval(F(1, 2), 1), False),
+    ],
+    ids=["zero", "cut-away"],
+)
+def test_a_window_emptied_after_a_drop_re_runs(monkeypatch, p, rows, interval, zero):
+    # once a floor has dropped a nonzero coefficient, an empty window is a
+    # miss even when the whole step computed from the cut window is zero:
+    # what the state holds cannot tell S_(m+1) = 0 from an e0 cut away
+    restarts = count_restarts(monkeypatch)
+    m = DiffModule(Prime(p), RFMatrix.from_strings(rows), interval)
+    state = gn_sequence(m, 40)
+    assert restarts == [1] and (state._hulls[5] == []) == zero
     assert_matches_the_floorless_run(state, m, (interval.lo, interval.hi))
 
 
